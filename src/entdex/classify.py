@@ -1,15 +1,22 @@
 """Recover the finest tensor factorization of a pure state and assign its class.
 
 Detection principle: for a globally pure state, the marginal on a subset S is
-itself pure exactly when S is a tensor factor.  The minimal pure subset
-containing each qubit is therefore that qubit's block, and the index is
-E = N - p where p is the number of blocks.
+itself pure exactly when S is a tensor factor, and the finest factorization
+into such factors is unique.  It is found by a Schmidt peel: one step per
+qubit, each splitting qubit 0 from the rest, so no subsets are enumerated.
+Every block found is then certified by the purity of its marginal on the
+input.  The index is E = N - p where p is the number of blocks.
+
+``tol`` bounds the purity defect 1 - tr(rho^2) of a marginal, which scales
+as the square of the perturbation that entangles it.  ``mixed_product_split``
+still compares operators by Frobenius distance instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -28,8 +35,9 @@ LABEL_SEPARABLE = "fully separable"
 
 
 class FactorizationError(RuntimeError):
-    """Minimal pure subsets overlap without nesting: the tolerance is set
-    at a numerically borderline level for this state."""
+    """A block found by the peel failed certification: its marginal on the
+    input has a purity defect above tol, so the tolerance is numerically
+    borderline for this state."""
 
 
 @dataclass(frozen=True)
@@ -79,74 +87,49 @@ class Ensemble:
         object.__setattr__(self, "terms", tuple(norm_terms))
 
 
-def _scan_minimal_block(
-    n: int, i: int, tol: float, pur: Callable[[tuple[int, ...]], float]
-) -> tuple[tuple[int, ...], bool]:
-    """Smallest subset containing i whose marginal is pure within tol.
+def _check_tol(tol: float) -> float:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    return float(tol)
 
-    Subsets are visited by increasing size, then lexicographically; the scan
-    always terminates because the full set is pure.  Also reports whether any
-    rejected subset was within 10*tol of acceptance (near-threshold input).
+
+def _peel(vec: np.ndarray, tol: float) -> tuple[list[tuple[int, ...]], bool]:
+    """Finest blocks of a normalized amplitude array, in its local qubit indices.
+
+    A tensor factor that leaves out qubit 0 is also a factor of each row of
+    ``vec.reshape(2, -1)``, so every block of the heavier row is either a
+    block of ``vec`` or a piece of qubit 0's block; only the former has a pure
+    marginal on ``vec``.  Also reports whether any decision was near tol.
     """
-    others = [q for q in range(n) if q != i]
-    near = False
-    for size in range(1, n + 1):
-        for combo in combinations(others, size - 1):
-            subset = tuple(sorted((i,) + combo))
-            defect = 1.0 - pur(subset)
-            if defect <= tol:
-                return subset, near
-            if defect <= 10.0 * tol:
-                near = True
-    raise AssertionError("unreachable: the full qubit set is always pure")
-
-
-def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
-    """The block of qubit ``i``: the smallest S containing i with a pure marginal."""
-    n = psi.n_qubits
-    if not 0 <= int(i) < n:
-        raise ValueError(f"qubit index {i} out of range for {n} qubits")
-    block, _ = _scan_minimal_block(n, int(i), tol, lambda s: marginal_purity(psi, s))
-    return block
-
-
-def _validate_blocks(
-    n: int, blocks: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """Deduplicate per-qubit blocks and require a genuine partition of [0, N)."""
-    unique: list[tuple[int, ...]] = []
-    for b in blocks:
-        if b not in unique:
-            unique.append(b)
-    for a, b in combinations(unique, 2):
-        if set(a) & set(b):
-            raise FactorizationError(
-                f"minimal subsets {a} and {b} overlap without being equal; "
-                "the tolerance is numerically borderline for this state"
-            )
-    covered = sorted(q for b in unique for q in b)
-    if covered != list(range(n)):
-        raise FactorizationError(f"minimal subsets {unique} do not cover all {n} qubits")
-    return canonical_set_partition(unique, n_qubits=n)
+    n = vec.size.bit_length() - 1
+    if n == 1:
+        return [(0,)], False
+    rows = vec.reshape(2, -1)
+    gram = rows @ rows.conj().T
+    k = int(gram[1, 1].real > gram[0, 0].real)
+    found, near = _peel(rows[k] / math.sqrt(gram[k, k].real), tol)
+    rest = [tuple(q + 1 for q in block) for block in found]
+    defect = 1.0 - float(np.vdot(gram, gram).real)
+    if defect <= tol:
+        return [(0,)] + rest, near
+    psi = PureState(n, vec)
+    defects = [1.0 - marginal_purity(psi, block) for block in rest]
+    near = near or any(tol < d <= 10.0 * tol for d in [defect, *defects])
+    head = (0,) + tuple(q for block, d in zip(rest, defects) if d > tol for q in block)
+    return [head] + [block for block, d in zip(rest, defects) if d <= tol], near
 
 
 def _factorize(psi: PureState, tol: float) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    n = psi.n_qubits
-    cache: dict[tuple[int, ...], float] = {}
-
-    def pur(subset: tuple[int, ...]) -> float:
-        got = cache.get(subset)
-        if got is None:
-            got = cache[subset] = marginal_purity(psi, subset)
-        return got
-
-    near = False
-    found: list[tuple[int, ...]] = []
-    for i in range(n):
-        block, block_near = _scan_minimal_block(n, i, tol, pur)
-        near = near or block_near
-        found.append(block)
-    return _validate_blocks(n, found), near
+    tol = _check_tol(tol)
+    blocks, near = _peel(psi.vec, tol)
+    for block in blocks:
+        defect = 1.0 - marginal_purity(psi, block)
+        if defect > tol:
+            raise FactorizationError(
+                f"block {block} has purity defect {defect:.3e} > tol={tol:g} on the "
+                "input; the tolerance is numerically borderline for this state"
+            )
+    return canonical_set_partition(blocks, n_qubits=psi.n_qubits), near
 
 
 def finest_factorization(
@@ -155,6 +138,14 @@ def finest_factorization(
     """Blocks of the finest tensor factorization, in canonical order."""
     blocks, _ = _factorize(psi, tol)
     return blocks
+
+
+def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
+    """The block of qubit ``i``: the smallest S containing i with a pure marginal."""
+    n = psi.n_qubits
+    if not 0 <= int(i) < n:
+        raise ValueError(f"qubit index {i} out of range for {n} qubits")
+    return next(b for b in finest_factorization(psi, tol) if int(i) in b)
 
 
 def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
@@ -257,5 +248,5 @@ def mixed_product_split(
     with lexicographic tie-break.  Returns block structure only; whether a
     block is entangled is not determined for mixed inputs.
     """
-    blocks = _split_mixed(rho, tuple(range(rho.n_qubits)), float(tol))
+    blocks = _split_mixed(rho, tuple(range(rho.n_qubits)), _check_tol(tol))
     return canonical_set_partition(blocks, n_qubits=rho.n_qubits)

@@ -16,9 +16,9 @@ ground-truth blocks, shape, and expected index of the constructed state, so
 round-trip harnesses never have to re-derive them.
 
 Exit codes: 0 success; 1 invalid arguments or malformed input; 2 norm defect
-beyond repair (classify) or write failure (make); 3 factorization
-inconsistency; 4 property-suite failures (verify).  stdout carries results
-only; diagnostics go to stderr.
+beyond repair (classify) or write failure (make); 3 a factorization block
+failed certification (classify, index); 4 property-suite failures (verify).
+stdout carries results only; diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -319,6 +319,9 @@ def _cmd_classify(args: argparse.Namespace, max_qubits: int) -> int:
     except FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
     if args.json:
@@ -341,7 +344,11 @@ def _cmd_index(args: argparse.Namespace, max_qubits: int) -> int:
         return EXIT_USAGE
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    value = ensemble_index(ensemble)
+    try:
+        value = ensemble_index(ensemble)
+    except FactorizationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     print(f"{value:.12g}")
     return EXIT_OK
 

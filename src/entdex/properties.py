@@ -196,7 +196,8 @@ def run_property_suite(
                     )
 
         else:
-            n_a = int(rng.integers(1, max_n + 1))
+            # leave room for at least one qubit of B under the cap
+            n_a = int(rng.integers(1, min(max_n, DEFAULT_MAX_QUBITS - 1) + 1))
             n_b = int(rng.integers(1, min(max_n, DEFAULT_MAX_QUBITS - n_a) + 1))
             state_a, _ = _random_dressed(rng, n_a)
             state_b, _ = _random_dressed(rng, n_b)

@@ -1,0 +1,69 @@
+"""Reference factorization by exhaustive subset scan, kept as a test oracle.
+
+For each qubit i, the smallest subset containing i whose marginal is pure
+within tol is i's block.  This visits up to 2**(N-1) subsets per qubit, so it
+is only usable for small N; the library uses the Schmidt peel instead.
+"""
+from itertools import combinations
+
+from entdex.classify import FactorizationError
+from entdex.partitions import canonical_set_partition
+from entdex.states import marginal_purity
+
+
+def scan_minimal_block(n, i, tol, pur):
+    """Smallest subset containing i whose marginal is pure within tol.
+
+    Subsets are visited by increasing size, then lexicographically; the scan
+    always terminates because the full set is pure.  Also reports whether any
+    rejected subset was within 10*tol of acceptance (near-threshold input).
+    """
+    others = [q for q in range(n) if q != i]
+    near = False
+    for size in range(1, n + 1):
+        for combo in combinations(others, size - 1):
+            subset = tuple(sorted((i,) + combo))
+            defect = 1.0 - pur(subset)
+            if defect <= tol:
+                return subset, near
+            if defect <= 10.0 * tol:
+                near = True
+    raise AssertionError("unreachable: the full qubit set is always pure")
+
+
+def validate_blocks(n, blocks):
+    """Deduplicate per-qubit blocks and require a genuine partition of [0, N)."""
+    unique = []
+    for b in blocks:
+        if b not in unique:
+            unique.append(b)
+    for a, b in combinations(unique, 2):
+        if set(a) & set(b):
+            raise FactorizationError(
+                f"minimal subsets {a} and {b} overlap without being equal; "
+                "the tolerance is numerically borderline for this state"
+            )
+    covered = sorted(q for b in unique for q in b)
+    if covered != list(range(n)):
+        raise FactorizationError(f"minimal subsets {unique} do not cover all {n} qubits")
+    return canonical_set_partition(unique, n_qubits=n)
+
+
+def scan_factorize(psi, tol):
+    """(blocks, near-threshold flag) of the finest factorization, by scan."""
+    n = psi.n_qubits
+    cache = {}
+
+    def pur(subset):
+        got = cache.get(subset)
+        if got is None:
+            got = cache[subset] = marginal_purity(psi, subset)
+        return got
+
+    near = False
+    found = []
+    for i in range(n):
+        block, block_near = scan_minimal_block(n, i, tol, pur)
+        near = near or block_near
+        found.append(block)
+    return validate_blocks(n, found), near

@@ -1,13 +1,15 @@
 """Tests for factorization recovery, classification, and the ensemble index."""
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entdex.classify import (
     Ensemble,
     FactorizationError,
-    _validate_blocks,
     classify,
     ensemble_index,
     entanglement_index,
@@ -17,8 +19,9 @@ from entdex.classify import (
     split_factors,
 )
 from entdex.construct import basis_state, ghz, ghz_product, random_local_unitary
-from entdex.partitions import enumerate_partitions
+from entdex.partitions import enumerate_partitions, shape_of
 from entdex.states import (
+    LocalUnitary,
     apply_local_unitary,
     density_matrix,
     marginal_purity,
@@ -27,6 +30,7 @@ from entdex.states import (
     tensor,
     to_density,
 )
+from scan_oracle import scan_factorize
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -61,15 +65,23 @@ class TestFinestFactorization:
     def test_ghz5_single_block(self):
         assert finest_factorization(ghz(5)) == ((0, 1, 2, 3, 4),)
 
-    def test_overlap_is_an_error(self):
-        with pytest.raises(FactorizationError, match="overlap"):
-            _validate_blocks(3, [(0, 1), (1, 2), (2,)])
-        with pytest.raises(FactorizationError, match="overlap"):
-            _validate_blocks(2, [(0,), (0, 1)])
-
-    def test_missing_coverage_is_an_error(self):
-        with pytest.raises(FactorizationError, match="cover"):
-            _validate_blocks(3, [(0, 1)])
+    def test_borderline_state_fails_certification(self):
+        # qubit 0 carries a purity defect of 2e-10 <= tol, so the peel splits
+        # it off and reads qubits 1..3 from the heavier row, where qubit 2's
+        # defect is 0.9e-9 <= tol.  On the input that defect is 1.1e-9 > tol.
+        eta, d0 = 1e-10, 0.9e-9
+        s2 = (1.0 - math.sqrt(1.0 - 2.0 * d0)) / 2.0
+        vec = np.zeros(16)
+        vec[0b0000] = math.sqrt((1.0 - eta) * (1.0 - s2))
+        vec[0b0011] = math.sqrt((1.0 - eta) * s2)
+        vec[0b1010] = math.sqrt(eta)
+        # local unitaries on qubits 1..3 change neither spectra nor the row choice
+        rng = np.random.default_rng(11)
+        lu = LocalUnitary((np.eye(2),) + random_local_unitary(3, rng).matrices)
+        psi = apply_local_unitary(pure_state(vec), lu)
+        assert 1.0 - marginal_purity(psi, (2,)) == pytest.approx(1.1e-9, rel=1e-3)
+        with pytest.raises(FactorizationError, match=r"block \(2,\)"):
+            classify(psi, tol=1e-9)
 
 
 class TestEntanglementIndex:
@@ -274,3 +286,86 @@ class TestMixedProductSplit:
             0.5 * to_density(psi0).mat + 0.5 * to_density(psi1).mat
         )
         assert mixed_product_split(rho) == ((0, 2), (1,))
+
+
+class TestTolValidation:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_pure_kernel_rejects(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            classify(ghz(3), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            minimal_pure_subset(ghz(3), 0, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_mixed_split_rejects(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            mixed_product_split(density_matrix(np.eye(4) / 4), tol=tol)
+
+    def test_zero_is_accepted(self):
+        assert classify(basis_state([0, 1, 0]), tol=0.0).shape == (1, 1, 1)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts marginal_purity calls made by the classifier."""
+    module = sys.modules["entdex.classify"]
+    inner = module.marginal_purity
+    calls = []
+
+    def counted(psi, keep):
+        calls.append(tuple(keep))
+        return inner(psi, keep)
+
+    monkeypatch.setattr(module, "marginal_purity", counted)
+    return calls
+
+
+class TestKernelWork:
+    @pytest.mark.parametrize("psi", [ghz(12), ghz(20, max_qubits=20)], ids=["ghz12", "ghz20"])
+    def test_ghz_is_linear(self, kernel_calls, psi):
+        n = psi.n_qubits
+        assert finest_factorization(psi) == (tuple(range(n)),)
+        assert len(kernel_calls) <= 2 * n
+
+    def test_dressed_partitions_are_quadratic(self, kernel_calls):
+        rng = np.random.default_rng(41)
+        for n in range(1, 11):
+            for shape in enumerate_partitions(n):
+                perm = [int(x) for x in rng.permutation(n)]
+                state, blocks = ghz_product(shape, perm=perm, lu_seed=int(rng.integers(2**32)))
+                kernel_calls.clear()
+                assert finest_factorization(state) == blocks
+                assert len(kernel_calls) <= n * (n + 3) // 2, (shape, perm)
+
+
+@st.composite
+def dressed_block_products(draw):
+    """GHZ and Haar-random blocks of up to 9 qubits, permuted and LU-dressed."""
+    n = draw(st.sampled_from(range(1, 10)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    psi = None
+    left = n
+    while left:
+        width = draw(st.integers(1, left))
+        left -= width
+        if draw(st.booleans()):
+            block = ghz(width)
+        else:
+            amps = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+            block = pure_state(amps / np.linalg.norm(amps))
+        psi = block if psi is None else tensor(psi, block)
+    psi = permute_qubits(psi, draw(st.permutations(range(n))))
+    return apply_local_unitary(psi, random_local_unitary(n, rng))
+
+
+class TestScanOracle:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(dressed_block_products())
+    def test_peel_agrees_with_subset_scan(self, psi):
+        blocks, near = scan_factorize(psi, 1e-9)
+        report = classify(psi, tol=1e-9)
+        assert report.blocks == blocks
+        assert report.shape == shape_of(blocks)
+        assert report.index == psi.n_qubits - len(blocks)
+        assert (report.warning is not None) == near

@@ -203,6 +203,15 @@ class TestClassifyErrors:
         assert rc == 3
         assert "overlap" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_tol_exits_1(self, capsys, tmp_path, tol):
+        p = write_state(tmp_path / "s.json", [1.0, 0.0])
+        rc, out, err = run(capsys, "classify", str(p), "--tol", tol)
+        assert rc == 1
+        assert out == ""
+        assert "tol must be finite and non-negative" in err
+        assert "Traceback" not in err
+
 
 class TestIndexCommand:
     def _ensemble(self, tmp_path, terms, n=4):
@@ -253,6 +262,18 @@ class TestIndexCommand:
         terms = [{"p": 1.0, "partition": [4], "state": {"n": 4, "amplitudes": []}}]
         rc, _, _ = run(capsys, "index", "--ensemble", str(self._ensemble(tmp_path, terms)))
         assert rc == 1
+
+    def test_factorization_failure_maps_to_exit_3(self, capsys, tmp_path, monkeypatch):
+        p = self._ensemble(tmp_path, [{"p": 1.0, "partition": [2, 2]}])
+
+        def boom(ensemble):
+            raise FactorizationError("synthetic certification failure")
+
+        monkeypatch.setattr(cli, "ensemble_index", boom)
+        rc, out, err = run(capsys, "index", "--ensemble", str(p))
+        assert rc == 3
+        assert out == ""
+        assert "certification" in err
 
 
 class TestVerifyCommand:

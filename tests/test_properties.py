@@ -99,6 +99,12 @@ class TestPropertySuites:
         assert report.failures == ()
         assert report.max_deviation == 0.0
 
+    def test_additivity_suite_at_the_qubit_cap(self):
+        # n_a = 14 used to leave an empty range for n_b
+        report = run_property_suite(4, max_n=14, trials=50, seed=1)
+        assert report.failures == ()
+        assert report.cases_run == 50
+
     def test_measurement_suite_clean(self):
         report = run_property_suite(3, max_n=5, trials=50, seed=1)
         assert report.failures == ()
