@@ -7,15 +7,20 @@ qubit, each splitting qubit 0 from the rest, so no subsets are enumerated.
 Every block found is then certified by the purity of its marginal on the
 input.  The index is E = N - p where p is the number of blocks.
 
+Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
+when the operator vector vec(rho), with each qubit's row and column bits
+taken as two sites of a 2N-qubit state, is a product across A|B (the
+operator-Schmidt decomposition).  The peel's blocks of sites are mapped back
+to the qubits they belong to.
+
 ``tol`` bounds the purity defect 1 - tr(rho^2) of a marginal, which scales
 as the square of the perturbation that entangles it.  ``mixed_product_split``
-still compares operators by Frobenius distance instead.
+certifies each split by Frobenius distance instead, with ``tol`` as the bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Union
 
 import numpy as np
@@ -220,33 +225,55 @@ def _reordered_entries(rho: DensityMatrix, order: list[int]) -> np.ndarray:
     return t.transpose(axes).reshape(2**n, 2**n)
 
 
-def _split_mixed(rho: DensityMatrix, labels: tuple[int, ...], tol: float) -> list[tuple[int, ...]]:
+def _is_product_cut(rho: DensityMatrix, block: tuple[int, ...], tol: float) -> bool:
+    comp = tuple(q for q in range(rho.n_qubits) if q not in block)
+    product = np.kron(partial_trace(rho, block).mat, partial_trace(rho, comp).mat)
+    target = _reordered_entries(rho, list(block) + list(comp))
+    return float(np.linalg.norm(target - product)) <= tol
+
+
+def _split_mixed(rho: DensityMatrix, tol: float) -> list[tuple[int, ...]]:
     n = rho.n_qubits
-    if n == 1:
-        return [labels]
-    for size in range(1, n):
-        for local in combinations(range(n), size):
-            comp = tuple(q for q in range(n) if q not in local)
-            part_a = partial_trace(rho, local)
-            part_b = partial_trace(rho, comp)
-            product = np.kron(part_a.mat, part_b.mat)
-            target = _reordered_entries(rho, list(local) + list(comp))
-            if float(np.linalg.norm(target - product)) <= tol:
-                return _split_mixed(
-                    part_a, tuple(labels[q] for q in local), tol
-                ) + _split_mixed(part_b, tuple(labels[q] for q in comp), tol)
-    return [labels]
+    # site 2q holds qubit q's row bit and site 2q + 1 its column bit
+    axes = [a for q in range(n) for a in (q, n + q)]
+    vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).reshape(-1)
+    found, _ = _peel(vec / np.linalg.norm(vec), tol)
+    groups: list[set[int]] = []
+    for sites in found:
+        group = {x // 2 for x in sites}
+        for other in [g for g in groups if g & group]:
+            groups.remove(other)
+            group |= other
+        groups.append(group)
+    blocks = [tuple(sorted(g)) for g in groups]
+    if len(blocks) == 1:
+        return blocks
+    kept = [b for b in blocks if _is_product_cut(rho, b, tol)]
+    if len(kept) == len(blocks):
+        return blocks
+    merged = tuple(sorted(q for b in blocks if b not in kept for q in b))
+    if kept and len(kept) + 1 < len(blocks) and _is_product_cut(rho, merged, tol):
+        return kept + [merged]
+    return [tuple(range(n))]
 
 
 def mixed_product_split(
     rho: DensityMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[int, ...], ...]:
-    """Coarsest-to-finest product splitting of a density matrix.
+    """Finest product splitting of a density matrix.
 
-    Recursively factors across any bipartition whose product reconstruction
-    is within ``tol`` in Frobenius distance, testing smaller subsets first
-    with lexicographic tie-break.  Returns block structure only; whether a
-    block is entangled is not determined for mixed inputs.
+    The Schmidt peel runs on vec(rho) / ||rho||_F as a 2N-qubit state whose
+    sites 2q and 2q + 1 are qubit q's row and column bits; blocks of sites
+    that share a qubit are merged.  The finest factorization of a vector is
+    unique and refines every split of rho, so for exact products this gives
+    the finest split of rho.  There ``tol`` bounds the purity defect of each
+    peel decision on the operator vector.  Each resulting block B is then
+    certified on the input: ||rho - rho_B (x) rho_rest||_F <= ``tol``, with
+    rho_rest the marginal on the other qubits.  The blocks that fail are
+    merged into one, which must pass in turn, or the whole register is one
+    block; so every returned split passes the Frobenius test.  Returns block
+    structure only; whether a block is entangled is not determined for mixed
+    inputs.
     """
-    blocks = _split_mixed(rho, tuple(range(rho.n_qubits)), _check_tol(tol))
+    blocks = _split_mixed(rho, _check_tol(tol))
     return canonical_set_partition(blocks, n_qubits=rho.n_qubits)

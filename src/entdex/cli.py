@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -40,7 +41,7 @@ from .partitions import (
     partition_count,
 )
 from .properties import PROPERTY_IDS, run_property_suite
-from .states import DEFAULT_MAX_QUBITS, PureState
+from .states import DEFAULT_MAX_QUBITS, MAX_QUBITS_CEILING, PureState
 
 FORMAT_VERSION = 1
 BIT_ORDER = "q0-most-significant"
@@ -77,11 +78,13 @@ def _require(cond: bool, message: str) -> None:
 def _load_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError as exc:
+        raise FileFormatError(f"{path} is not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer with too many digits
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -96,17 +99,23 @@ def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray
     _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")
     amps = doc.get("amplitudes")
     _require(isinstance(amps, list) and len(amps) == 2**n, f"{where}: amplitudes must be a list of exactly 2**n pairs")
-    vec = np.empty(2**n, dtype=np.complex128)
-    for k, pair in enumerate(amps):
-        _require(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair),
-            f"{where}: amplitude {k} must be a [re, im] numeric pair",
-        )
-        vec[k] = complex(pair[0], pair[1])
+    # exact types: JSON yields no int or float subclass other than bool
+    if not (
+        all(type(pair) is list and len(pair) == 2 for pair in amps)
+        and set(map(type, chain.from_iterable(amps))) <= {int, float}
+    ):
+        k = next(k for k, pair in enumerate(amps) if not _is_numeric_pair(pair))
+        raise FileFormatError(f"{where}: amplitude {k} must be a [re, im] numeric pair")
+    try:
+        vec = np.array(amps, dtype=np.float64).view(np.complex128).reshape(-1)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FileFormatError(f"{where}: amplitudes must be finite") from exc
     _require(bool(np.all(np.isfinite(vec))), f"{where}: amplitudes must be finite")
     return vec, n
+
+
+def _is_numeric_pair(pair: Any) -> bool:
+    return type(pair) is list and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
 
 
 def _state_from_raw(vec: np.ndarray, n: int, where: str) -> tuple[PureState, list[str]]:
@@ -433,8 +442,8 @@ def _effective_max_qubits() -> int:
         value = int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_QUBITS} must be an integer, got {raw!r}")
-    if not 2 <= value <= 20:
-        raise ValueError(f"{ENV_MAX_QUBITS} must be in [2, 20], got {value}")
+    if not 2 <= value <= MAX_QUBITS_CEILING:
+        raise ValueError(f"{ENV_MAX_QUBITS} must be in [2, {MAX_QUBITS_CEILING}], got {value}")
     return value
 
 

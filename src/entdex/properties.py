@@ -20,6 +20,7 @@ from .partitions import enumerate_partitions
 from .states import (
     DEFAULT_MAX_QUBITS,
     DEFAULT_TOL,
+    MAX_QUBITS_CEILING,
     PureState,
     apply_local_unitary,
     tensor,
@@ -117,11 +118,11 @@ def _random_partition(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return options[int(rng.integers(len(options)))]
 
 
-def _random_dressed(rng: np.random.Generator, n: int):
+def _random_dressed(rng: np.random.Generator, n: int, cap: int):
     shape = _random_partition(rng, n)
     perm = [int(x) for x in rng.permutation(n)]
     lu_seed = int(rng.integers(0, 2**32))
-    return ghz_product(shape, perm=perm, lu_seed=lu_seed)
+    return ghz_product(shape, perm=perm, lu_seed=lu_seed, max_qubits=cap)
 
 
 def run_property_suite(
@@ -135,14 +136,17 @@ def run_property_suite(
 
     Deterministic: identical (property_id, max_n, trials, seed) arguments
     produce an identical report.  Failures are returned in the report, never
-    raised.
+    raised.  ``max_n`` may reach MAX_QUBITS_CEILING; states are built under
+    the qubit cap max(DEFAULT_MAX_QUBITS, max_n), so draws for max_n up to
+    DEFAULT_MAX_QUBITS do not depend on the ceiling.
     """
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"property_id must be one of {PROPERTY_IDS}, got {property_id!r}")
-    if not 2 <= max_n <= DEFAULT_MAX_QUBITS:
-        raise ValueError(f"max_n must be in [2, {DEFAULT_MAX_QUBITS}], got {max_n}")
+    if not 2 <= max_n <= MAX_QUBITS_CEILING:
+        raise ValueError(f"max_n must be in [2, {MAX_QUBITS_CEILING}], got {max_n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    cap = max(DEFAULT_MAX_QUBITS, max_n)
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     cases = 0
@@ -162,7 +166,7 @@ def run_property_suite(
 
         elif property_id == 2:
             n = int(rng.integers(2, max_n + 1))
-            state, blocks = _random_dressed(rng, n)
+            state, blocks = _random_dressed(rng, n, cap)
             u = random_local_unitary(n, rng)
             before = classify(state, tol)
             after = classify(apply_local_unitary(state, u), tol)
@@ -181,7 +185,7 @@ def run_property_suite(
 
         elif property_id == 3:
             n = int(rng.integers(2, max_n + 1))
-            state, _ = _random_dressed(rng, n)
+            state, _ = _random_dressed(rng, n, cap)
             e_before = entanglement_index(state, tol)
             q = int(rng.integers(n))
             for basis in ("Z", "X"):
@@ -197,11 +201,11 @@ def run_property_suite(
 
         else:
             # leave room for at least one qubit of B under the cap
-            n_a = int(rng.integers(1, min(max_n, DEFAULT_MAX_QUBITS - 1) + 1))
-            n_b = int(rng.integers(1, min(max_n, DEFAULT_MAX_QUBITS - n_a) + 1))
-            state_a, _ = _random_dressed(rng, n_a)
-            state_b, _ = _random_dressed(rng, n_b)
-            joint = tensor(state_a, state_b)
+            n_a = int(rng.integers(1, min(max_n, cap - 1) + 1))
+            n_b = int(rng.integers(1, min(max_n, cap - n_a) + 1))
+            state_a, _ = _random_dressed(rng, n_a, cap)
+            state_b, _ = _random_dressed(rng, n_b, cap)
+            joint = tensor(state_a, state_b, max_qubits=cap)
             e_a = entanglement_index(state_a, tol)
             e_b = entanglement_index(state_b, tol)
             e_ab = entanglement_index(joint, tol)

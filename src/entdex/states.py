@@ -18,6 +18,8 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_QUBITS = 14
+# the highest qubit cap that may be configured (ENTDEX_MAX_QUBITS, verify --max-n)
+MAX_QUBITS_CEILING = 20
 # Full density matrices above this width would need gigabytes; marginals of
 # bigger pure states are always taken directly from the amplitudes instead.
 DENSITY_MAX_QUBITS = 12

@@ -1,14 +1,19 @@
-"""Reference factorization by exhaustive subset scan, kept as a test oracle.
+"""Reference factorizations by exhaustive subset scan, kept as test oracles.
 
-For each qubit i, the smallest subset containing i whose marginal is pure
-within tol is i's block.  This visits up to 2**(N-1) subsets per qubit, so it
-is only usable for small N; the library uses the Schmidt peel instead.
+Pure states: for each qubit i, the smallest subset containing i whose
+marginal is pure within tol is i's block.  Density matrices: split across the
+first bipartition, smallest subsets first, whose product of marginals is
+within tol of the input in Frobenius distance, and recurse on both sides.
+Both visit up to 2**N subsets, so they are only usable for small N; the
+library uses the Schmidt peel instead.
 """
 from itertools import combinations
 
-from entdex.classify import FactorizationError
+import numpy as np
+
+from entdex.classify import FactorizationError, _reordered_entries
 from entdex.partitions import canonical_set_partition
-from entdex.states import marginal_purity
+from entdex.states import marginal_purity, partial_trace
 
 
 def scan_minimal_block(n, i, tol, pur):
@@ -67,3 +72,27 @@ def scan_factorize(psi, tol):
         near = near or block_near
         found.append(block)
     return validate_blocks(n, found), near
+
+
+def _split_mixed(rho, labels, tol):
+    n = rho.n_qubits
+    if n == 1:
+        return [labels]
+    for size in range(1, n):
+        for local in combinations(range(n), size):
+            comp = tuple(q for q in range(n) if q not in local)
+            part_a = partial_trace(rho, local)
+            part_b = partial_trace(rho, comp)
+            product = np.kron(part_a.mat, part_b.mat)
+            target = _reordered_entries(rho, list(local) + list(comp))
+            if float(np.linalg.norm(target - product)) <= tol:
+                return _split_mixed(
+                    part_a, tuple(labels[q] for q in local), tol
+                ) + _split_mixed(part_b, tuple(labels[q] for q in comp), tol)
+    return [labels]
+
+
+def scan_mixed_split(rho, tol):
+    """Product blocks of a density matrix, by recursive subset scan."""
+    blocks = _split_mixed(rho, tuple(range(rho.n_qubits)), tol)
+    return canonical_set_partition(blocks, n_qubits=rho.n_qubits)

@@ -30,7 +30,7 @@ from entdex.states import (
     tensor,
     to_density,
 )
-from scan_oracle import scan_factorize
+from scan_oracle import scan_factorize, scan_mixed_split
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -369,3 +369,107 @@ class TestScanOracle:
         assert report.shape == shape_of(blocks)
         assert report.index == psi.n_qubits - len(blocks)
         assert (report.warning is not None) == near
+
+
+def random_mixed_block(rng, width):
+    """Random density matrix of rank 1-3 on ``width`` qubits."""
+    rank = int(rng.integers(1, 4))
+    g = rng.normal(size=(2**width, rank)) + 1j * rng.normal(size=(2**width, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def permute_density(mat, perm):
+    """Relocate qubit ``i`` to position ``perm[i]`` on both row and column axes."""
+    n = len(perm)
+    inv = [int(x) for x in np.argsort(perm)]
+    t = np.asarray(mat).reshape([2] * (2 * n)).transpose(inv + [n + q for q in inv])
+    return t.reshape(2**n, 2**n)
+
+
+@st.composite
+def mixed_block_products(draw):
+    """Random rank-1-3, maximally mixed and LU-dressed GHZ blocks, N <= 7, permuted."""
+    n = draw(st.sampled_from(range(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = np.ones((1, 1), dtype=np.complex128)
+    left = n
+    while left:
+        width = draw(st.integers(1, left))
+        left -= width
+        kind = draw(st.sampled_from(["random", "maximally mixed", "ghz"]))
+        if kind == "random":
+            block = random_mixed_block(rng, width)
+        elif kind == "maximally mixed":
+            block = np.eye(2**width) / 2**width
+        else:
+            block = to_density(ghz_product([width], lu_seed=int(rng.integers(2**32)))[0]).mat
+        mat = np.kron(mat, block)
+    return density_matrix(permute_density(mat, draw(st.permutations(range(n)))))
+
+
+class TestMixedScanOracle:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(mixed_block_products())
+    def test_peel_agrees_with_subset_scan(self, rho):
+        assert mixed_product_split(rho) == scan_mixed_split(rho, 1e-9)
+
+    @pytest.mark.parametrize(
+        "eps, scope, expected",
+        [
+            (1e-10, "global", ((0, 4), (1, 5), (2,), (3,))),
+            (1e-8, "global", ((0, 1, 2, 3, 4, 5),)),
+            (1e-10, "first two blocks", ((0, 4), (1, 5), (2,), (3,))),
+            (1e-8, "first two blocks", ((0, 2, 4), (1, 5), (3,))),
+        ],
+        ids=["global-tol/10", "global-10tol", "local-tol/10", "local-10tol"],
+    )
+    def test_noisy_products_agree_with_subset_scan(self, eps, scope, expected):
+        rng = np.random.default_rng(23)
+
+        def noisy(mat):
+            # mix in a full-rank state: a valid density matrix at distance eps
+            g = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+            sigma = g @ g.conj().T
+            sigma /= np.trace(sigma).real
+            return mat + eps * (sigma - mat) / np.linalg.norm(sigma - mat)
+
+        a, b, c, d = (random_mixed_block(rng, w) for w in (2, 1, 2, 1))
+        if scope == "global":
+            mat = noisy(np.kron(np.kron(np.kron(a, b), c), d))
+        else:
+            mat = np.kron(np.kron(noisy(np.kron(a, b)), c), d)
+        rho = density_matrix(permute_density(mat, (4, 0, 2, 5, 1, 3)))
+        assert mixed_product_split(rho) == scan_mixed_split(rho, 1e-9) == expected
+
+
+@pytest.fixture
+def partial_trace_calls(monkeypatch):
+    """Counts partial_trace calls made by the classifier."""
+    module = sys.modules["entdex.classify"]
+    inner = module.partial_trace
+    calls = []
+
+    def counted(rho, keep):
+        calls.append(tuple(keep))
+        return inner(rho, keep)
+
+    monkeypatch.setattr(module, "partial_trace", counted)
+    return calls
+
+
+class TestMixedWork:
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_ghz_density_needs_no_partial_trace(self, kernel_calls, partial_trace_calls, n):
+        assert mixed_product_split(to_density(ghz(n))) == (tuple(range(n)),)
+        assert len(kernel_calls) <= 4 * n
+        assert partial_trace_calls == []
+
+    def test_certification_is_two_partial_traces_per_block(self, partial_trace_calls):
+        rng = np.random.default_rng(7)
+        mat = np.kron(np.kron(random_mixed_block(rng, 3), random_mixed_block(rng, 3)),
+                      random_mixed_block(rng, 2))
+        perm = (5, 2, 7, 0, 3, 6, 1, 4)
+        rho = density_matrix(permute_density(mat, perm))
+        assert mixed_product_split(rho) == ((0, 3, 6), (1, 4), (2, 5, 7))
+        assert len(partial_trace_calls) <= 2 * 3

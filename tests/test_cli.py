@@ -213,6 +213,56 @@ class TestClassifyErrors:
         assert "Traceback" not in err
 
 
+class TestHostileInput:
+    """Inputs that once ended in a Python traceback exit 1 with an error line."""
+
+    HUGE = b"1" + b"0" * 400  # an integer beyond the float range
+    STATE = b'{"n": 1, "amplitudes": [[%s, 0], [0, 0]]}'
+    BODIES = {
+        "int-overflow": STATE % HUGE,
+        "too-many-digits": STATE % (b"1" * 5000),
+        "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+        "non-utf8": STATE % b'"\xff"',
+    }
+
+    @pytest.mark.parametrize("command", ["classify", "index"])
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    def test_exits_1(self, capsys, tmp_path, command, kind):
+        body = self.BODIES[kind]
+        p = tmp_path / "f.json"
+        if command == "classify":
+            args = ["classify", str(p)]
+        else:
+            args = ["index", "--ensemble", str(p)]
+            if body.startswith(b"{"):
+                body = b'{"n": 1, "terms": [{"p": 1, "state": %s}]}' % body
+        p.write_bytes(body)
+        rc, out, err = run(capsys, *args)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, False], ["0.5", 0], [0, 0, 0], {"re": 0, "im": 0}, 0],
+        ids=["bool", "numeric-string", "three-elements", "object", "bare-number"],
+    )
+    def test_rejects_non_numeric_pair(self, capsys, tmp_path, bad):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"n": 1, "amplitudes": [[1, 0], bad]}))
+        rc, out, err = run(capsys, "classify", str(p))
+        assert rc == 1
+        assert out == ""
+        assert "amplitude 1 must be a [re, im] numeric pair" in err
+
+    def test_integer_amplitudes_parse(self, capsys, tmp_path):
+        p = tmp_path / "s.json"
+        p.write_text(json.dumps({"n": 1, "amplitudes": [[0, 0], [1, 0]]}))
+        rc, out, _ = run(capsys, "classify", str(p))
+        assert rc == 0
+        assert "fully separable" in out
+
+
 class TestIndexCommand:
     def _ensemble(self, tmp_path, terms, n=4):
         p = tmp_path / "e.json"
@@ -329,6 +379,12 @@ class TestEnvCap:
         monkeypatch.setenv(cli.ENV_MAX_QUBITS, "16")
         rc, _, _ = run(capsys, "make", "--partition", "15", "-o", str(tmp_path / "x.json"))
         assert rc == 0
+
+    def test_cap_raises_verify_max_n(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_MAX_QUBITS, "16")
+        rc, out, _ = run(capsys, "verify", "--suite", "1", "--max-n", "16", "--trials", "2")
+        assert rc == 0
+        assert "failures=0" in out
 
     def test_invalid_values_rejected(self, capsys, monkeypatch):
         for bad in ("25", "1", "abc"):

@@ -105,6 +105,12 @@ class TestPropertySuites:
         assert report.failures == ()
         assert report.cases_run == 50
 
+    @pytest.mark.parametrize("pid", [2, 3, 4])
+    def test_suites_above_the_default_cap(self, pid):
+        # max_n=16 raises the construction cap to 16 qubits (seed 1 reaches 16 and 15)
+        report = run_property_suite(pid, max_n=16, trials=10, seed=1)
+        assert report.failures == ()
+
     def test_measurement_suite_clean(self):
         report = run_property_suite(3, max_n=5, trials=50, seed=1)
         assert report.failures == ()
@@ -135,7 +141,7 @@ class TestPropertySuites:
         with pytest.raises(ValueError):
             run_property_suite(1, max_n=1)
         with pytest.raises(ValueError):
-            run_property_suite(1, max_n=20)
+            run_property_suite(1, max_n=21)
         with pytest.raises(ValueError):
             run_property_suite(1, trials=0)
 
