@@ -1,9 +1,15 @@
 """CLI behavior: subcommands, exit codes, file formats, output stability."""
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entdex import cli
 from entdex.classify import FactorizationError
@@ -263,6 +269,85 @@ class TestHostileInput:
         assert "fully separable" in out
 
 
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _mutated(draw, doc, keys):
+    """``doc`` with at most one entry replaced, dropped or, for a list, extended."""
+    if draw(st.booleans()):
+        return doc
+    key = draw(st.sampled_from(keys))
+    target = doc
+    for k in key[:-1]:
+        target = target[k]
+    action = draw(st.sampled_from(["replace", "drop", "extend"]))
+    if action == "replace" or (action == "extend" and not isinstance(target, list)):
+        target[key[-1]] = draw(_DOCS)
+    elif action == "drop":
+        del target[key[-1]]
+    else:
+        target.append(draw(_DOCS))
+    return doc
+
+
+@st.composite
+def _near_state(draw, n=None):
+    n = draw(st.integers(1, 3)) if n is None else n
+    amps = np.array(draw(st.lists(st.floats(-1, 1), min_size=2 ** (n + 1), max_size=2 ** (n + 1))))
+    if draw(st.booleans()) and np.linalg.norm(amps) > 0:
+        amps = amps / np.linalg.norm(amps)
+    doc = {"n": n, "amplitudes": amps.reshape(-1, 2).tolist()}
+    if draw(st.booleans()):
+        doc["format_version"] = 1
+        doc["bit_order"] = "q0-most-significant"
+    keys = [("n",), ("amplitudes",), *[("amplitudes", k, j) for k in range(2**n) for j in (0, 1)]]
+    return _mutated(draw, doc, keys + [(k,) for k in ("format_version", "bit_order") if k in doc])
+
+
+@st.composite
+def _near_ensemble(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 3))
+    terms = []
+    for _ in range(count):
+        if draw(st.booleans()):
+            terms.append({"p": 1 / count, "partition": list(draw(st.sampled_from(enumerate_partitions(n))))})
+        else:
+            terms.append({"p": 1 / count, "state": draw(_near_state(n))})
+    keys = [("n",), ("terms",), *[("terms", k, f) for k, t in enumerate(terms) for f in t]]
+    return _mutated(draw, {"format_version": 1, "n": n, "terms": terms}, keys)
+
+
+class TestArbitraryDocuments:
+    """Every JSON document ends in an exit code from 0 to 4, never an exception."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(_DOCS, _near_state(), _near_ensemble()))
+    def test_documented_exit_code(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            for args in (["classify", str(path)], ["index", "--ensemble", str(path)]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(args)
+                assert type(rc) is int and 0 <= rc <= 4
+                if rc != 0:
+                    assert out.getvalue() == ""
+                    assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
 class TestIndexCommand:
     def _ensemble(self, tmp_path, terms, n=4):
         p = tmp_path / "e.json"
@@ -312,6 +397,13 @@ class TestIndexCommand:
         terms = [{"p": 1.0, "partition": [4], "state": {"n": 4, "amplitudes": []}}]
         rc, _, _ = run(capsys, "index", "--ensemble", str(self._ensemble(tmp_path, terms)))
         assert rc == 1
+
+    def test_norm_defect_in_state_term_exits_1(self, capsys, tmp_path):
+        terms = [{"p": 1.0, "state": {"n": 1, "amplitudes": [[1.05, 0.0], [0.0, 0.0]]}}]
+        rc, out, err = run(capsys, "index", "--ensemble", str(self._ensemble(tmp_path, terms, n=1)))
+        assert rc == 1
+        assert out == ""
+        assert "norm defect" in err
 
     def test_factorization_failure_maps_to_exit_3(self, capsys, tmp_path, monkeypatch):
         p = self._ensemble(tmp_path, [{"p": 1.0, "partition": [2, 2]}])
