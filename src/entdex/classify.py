@@ -248,6 +248,8 @@ def _split_mixed(rho: DensityMatrix, tol: float) -> list[tuple[int, ...]]:
     blocks = [tuple(sorted(g)) for g in groups]
     if len(blocks) == 1:
         return blocks
+    if len(blocks) == 2:  # both blocks test the same cut
+        return blocks if _is_product_cut(rho, blocks[0], tol) else [tuple(range(n))]
     kept = [b for b in blocks if _is_product_cut(rho, b, tol)]
     if len(kept) == len(blocks):
         return blocks

@@ -15,10 +15,12 @@ An ensemble file is::
 ground-truth blocks, shape, and expected index of the constructed state, so
 round-trip harnesses never have to re-derive them.
 
-Exit codes: 0 success; 1 invalid arguments or malformed input; 2 norm defect
-beyond repair (classify) or write failure (make); 3 a factorization block
-failed certification (classify, index); 4 property-suite failures (verify).
-stdout carries results only; diagnostics go to stderr.
+Exit codes: 0 success; 1 invalid arguments or malformed input, including a
+norm defect inside an ensemble file (index); 2 norm defect beyond repair
+(classify) or write failure (make); 3 a factorization block failed
+certification (classify, index); 4 property-suite failures (verify).  The
+handlers raise and ``main`` maps each exception to its exit code.  stdout
+carries results only; diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -165,7 +167,11 @@ def truth_sidecar_path(output: str | Path) -> Path:
 def load_ensemble_file(
     path: str | Path, max_qubits: int = DEFAULT_MAX_QUBITS
 ) -> tuple[Ensemble, list[str]]:
-    """Read an ensemble file: probability-weighted partitions and/or states."""
+    """Read an ensemble file: probability-weighted partitions and/or states.
+
+    Raises FileFormatError for malformed documents, including a state term
+    whose norm is beyond repair.
+    """
     doc = _load_json(path)
     where = str(path)
     _require(isinstance(doc, dict), f"{where}: ensemble must be a JSON object")
@@ -203,7 +209,10 @@ def load_ensemble_file(
         else:
             vec, state_n = _parse_state_body(term["state"], max_qubits, f"{where}: term {k}")
             _require(state_n == n, f"{where}: term {k}: state has n={state_n}, expected {n}")
-            psi, t_warn = _state_from_raw(vec, state_n, f"{where}: term {k}")
+            try:
+                psi, t_warn = _state_from_raw(vec, state_n, f"{where}: term {k}")
+            except NormDefectError as exc:  # a defective term makes the file malformed
+                raise FileFormatError(str(exc)) from exc
             warnings.extend(t_warn)
             parsed.append((float(prob), psi))
     total = sum(p for p, _ in parsed)
@@ -240,19 +249,15 @@ def _property_report_doc(report) -> dict:
     }
 
 
-def _cmd_partitions(args: argparse.Namespace) -> int:
-    try:
-        if args.counts:
-            count = partition_count(args.n)
-            if args.json:
-                sys.stdout.write(_dumps({"format_version": FORMAT_VERSION, "n": args.n, "count": count}))
-            else:
-                print(count)
-            return EXIT_OK
-        rows = enumerate_partitions(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_partitions(args: argparse.Namespace, max_qubits: int) -> int:
+    if args.counts:
+        count = partition_count(args.n)
+        if args.json:
+            sys.stdout.write(_dumps({"format_version": FORMAT_VERSION, "n": args.n, "count": count}))
+        else:
+            print(count)
+        return EXIT_OK
+    rows = enumerate_partitions(args.n)
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -277,24 +282,18 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _cmd_make(args: argparse.Namespace, max_qubits: int) -> int:
-    try:
-        shape = as_partition(_parse_int_list(args.partition, "--partition"))
-        assignment = None
-        if args.assign:
-            assignment = [
-                _parse_int_list(chunk, "--assign block") for chunk in args.assign.split(";")
-            ]
-        perm = _parse_int_list(args.perm, "--perm") if args.perm else None
-        state, blocks = ghz_product(
-            shape,
-            assignment=assignment,
-            perm=perm,
-            lu_seed=args.lu_seed,
-            max_qubits=max_qubits,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    shape = as_partition(_parse_int_list(args.partition, "--partition"))
+    assignment = None
+    if args.assign:
+        assignment = [_parse_int_list(chunk, "--assign block") for chunk in args.assign.split(";")]
+    perm = _parse_int_list(args.perm, "--perm") if args.perm else None
+    state, blocks = ghz_product(
+        shape,
+        assignment=assignment,
+        perm=perm,
+        lu_seed=args.lu_seed,
+        max_qubits=max_qubits,
+    )
     truth = {
         "format_version": FORMAT_VERSION,
         "n": state.n_qubits,
@@ -313,24 +312,10 @@ def _cmd_make(args: argparse.Namespace, max_qubits: int) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, max_qubits: int) -> int:
-    try:
-        psi, warnings = load_state_file(args.file, max_qubits=max_qubits)
-    except NormDefectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    psi, warnings = load_state_file(args.file, max_qubits=max_qubits)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    try:
-        report = classify(psi, tol=args.tol)
-    except FactorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = classify(psi, tol=args.tol)
     if report.warning:
         print(f"warning: {report.warning}", file=sys.stderr)
     if args.json:
@@ -343,21 +328,10 @@ def _cmd_classify(args: argparse.Namespace, max_qubits: int) -> int:
 
 
 def _cmd_index(args: argparse.Namespace, max_qubits: int) -> int:
-    try:
-        ensemble, warnings = load_ensemble_file(args.ensemble, max_qubits=max_qubits)
-    except NormDefectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ensemble, warnings = load_ensemble_file(args.ensemble, max_qubits=max_qubits)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    try:
-        value = ensemble_index(ensemble)
-    except FactorizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+    value = ensemble_index(ensemble)
     print(f"{value:.12g}")
     return EXIT_OK
 
@@ -365,16 +339,11 @@ def _cmd_index(args: argparse.Namespace, max_qubits: int) -> int:
 def _cmd_verify(args: argparse.Namespace, max_qubits: int) -> int:
     suites = list(PROPERTY_IDS) if args.suite == "all" else [int(args.suite)]
     if args.max_n > max_qubits:
-        print(f"error: --max-n {args.max_n} exceeds the qubit cap of {max_qubits}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        reports = [
-            run_property_suite(pid, max_n=args.max_n, trials=args.trials, seed=args.seed)
-            for pid in suites
-        ]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--max-n {args.max_n} exceeds the qubit cap of {max_qubits}")
+    reports = [
+        run_property_suite(pid, max_n=args.max_n, trials=args.trials, seed=args.seed)
+        for pid in suites
+    ]
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -408,6 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("n", type=int)
     p_part.add_argument("--counts", action="store_true", help="print only the partition count")
     p_part.add_argument("--json", action="store_true")
+    p_part.set_defaults(handler=_cmd_partitions)
 
     p_make = sub.add_parser("make", help="construct a block-product state file")
     p_make.add_argument("--partition", required=True, help="block widths, e.g. 3,2")
@@ -415,14 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--lu-seed", type=int, dest="lu_seed", help="per-qubit Haar dressing seed")
     p_make.add_argument("--perm", help="qubit permutation, e.g. 2,0,1,3,4")
     p_make.add_argument("-o", "--output", required=True)
+    p_make.set_defaults(handler=_cmd_make)
 
     p_cls = sub.add_parser("classify", help="classify a state file")
     p_cls.add_argument("file")
     p_cls.add_argument("--tol", type=float, default=1e-9)
     p_cls.add_argument("--json", action="store_true")
+    p_cls.set_defaults(handler=_cmd_classify)
 
     p_idx = sub.add_parser("index", help="index of an ensemble file")
     p_idx.add_argument("--ensemble", required=True)
+    p_idx.set_defaults(handler=_cmd_index)
 
     p_ver = sub.add_parser("verify", help="run the property suites")
     p_ver.add_argument("--suite", required=True, choices=["1", "2", "3", "4", "all"])
@@ -430,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.add_argument("--json", action="store_true")
+    p_ver.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -450,19 +424,12 @@ def _effective_max_qubits() -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        max_qubits = _effective_max_qubits()
-    except ValueError as exc:
+        return args.handler(args, _effective_max_qubits())
+    except (FactorizationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "partitions":
-        return _cmd_partitions(args)
-    if args.command == "make":
-        return _cmd_make(args, max_qubits)
-    if args.command == "classify":
-        return _cmd_classify(args, max_qubits)
-    if args.command == "index":
-        return _cmd_index(args, max_qubits)
-    return _cmd_verify(args, max_qubits)
+        if isinstance(exc, FactorizationError):
+            return EXIT_INCONSISTENT
+        return EXIT_IO if isinstance(exc, NormDefectError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -28,8 +28,6 @@ from .states import (
 
 PROBABILITY_FLOOR = 1e-12
 PROPERTY_IDS = (1, 2, 3, 4)
-# properties 1, 2, 4 are exact integer checks; 3 allows float slack
-PROPERTY_TOLERANCES = {1: 0.0, 2: 0.0, 3: DEFAULT_TOL, 4: 0.0}
 
 _BASIS_VECTORS = {
     "Z": (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128)),
@@ -125,6 +123,62 @@ def _random_dressed(rng: np.random.Generator, n: int, cap: int):
     return ghz_product(shape, perm=perm, lu_seed=lu_seed, max_qubits=cap)
 
 
+def _trial_separable(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+    # per-qubit Haar dressing of |0...0> is separable by construction
+    n = int(rng.integers(2, max_n + 1))
+    lu = random_local_unitary(n, rng)
+    e = entanglement_index(apply_local_unitary(basis_state([0] * n), lu), tol)
+    return [(float(abs(e)), f"n={n} separable state got E={e}")]
+
+
+def _trial_lu_invariance(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+    n = int(rng.integers(2, max_n + 1))
+    state, blocks = _random_dressed(rng, n, cap)
+    u = random_local_unitary(n, rng)
+    before = classify(state, tol)
+    after = classify(apply_local_unitary(state, u), tol)
+    same = (
+        before.blocks == after.blocks
+        and before.shape == after.shape
+        and before.index == after.index
+    )
+    message = (
+        f"n={n} blocks={blocks} report changed under LU: "
+        f"{(before.blocks, before.index)} -> {(after.blocks, after.index)}"
+    )
+    return [(0.0 if same else 1.0, message)]
+
+
+def _trial_measurement(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+    n = int(rng.integers(2, max_n + 1))
+    state, _ = _random_dressed(rng, n, cap)
+    e_before = entanglement_index(state, tol)
+    q = int(rng.integers(n))
+    cases = []
+    for basis in ("Z", "X"):
+        dev = expected_index_after(state, q, basis, tol) - e_before
+        cases.append((dev, f"n={n} q={q} basis={basis} expected index rose by {dev:.3e}"))
+    return cases
+
+
+def _trial_additivity(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+    # leave room for at least one qubit of B under the cap
+    n_a = int(rng.integers(1, min(max_n, cap - 1) + 1))
+    n_b = int(rng.integers(1, min(max_n, cap - n_a) + 1))
+    state_a, _ = _random_dressed(rng, n_a, cap)
+    state_b, _ = _random_dressed(rng, n_b, cap)
+    joint = tensor(state_a, state_b, max_qubits=cap)
+    e_a = entanglement_index(state_a, tol)
+    e_b = entanglement_index(state_b, tol)
+    e_ab = entanglement_index(joint, tol)
+    message = f"E({n_a}+{n_b} qubits)={e_ab} but parts give {e_a}+{e_b}"
+    return [(float(abs(e_ab - e_a - e_b)), message)]
+
+
+# each trial returns a list of (deviation, failure message), one per case it checks
+_TRIALS = {1: _trial_separable, 2: _trial_lu_invariance, 3: _trial_measurement, 4: _trial_additivity}
+
+
 def run_property_suite(
     property_id: int,
     max_n: int = 6,
@@ -138,7 +192,9 @@ def run_property_suite(
     produce an identical report.  Failures are returned in the report, never
     raised.  ``max_n`` may reach MAX_QUBITS_CEILING; states are built under
     the qubit cap max(DEFAULT_MAX_QUBITS, max_n), so draws for max_n up to
-    DEFAULT_MAX_QUBITS do not depend on the ceiling.
+    DEFAULT_MAX_QUBITS do not depend on the ceiling.  A case fails when its
+    deviation exceeds ``tol`` for property 3 and 0 for the exact integer
+    checks of properties 1, 2 and 4.
     """
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"property_id must be one of {PROPERTY_IDS}, got {property_id!r}")
@@ -147,76 +203,17 @@ def run_property_suite(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     cap = max(DEFAULT_MAX_QUBITS, max_n)
+    limit = tol if property_id == 3 else 0.0
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     cases = 0
     max_dev = 0.0
-
     for trial in range(trials):
-        if property_id == 1:
-            # per-qubit Haar dressing of |0...0> is separable by construction
-            n = int(rng.integers(2, max_n + 1))
-            lu = random_local_unitary(n, rng)
-            psi = apply_local_unitary(basis_state([0] * n), lu)
-            e = entanglement_index(psi, tol)
+        for dev, message in _TRIALS[property_id](rng, max_n, cap, tol):
             cases += 1
-            max_dev = max(max_dev, float(abs(e)))
-            if e != 0:
-                failures.append(f"trial {trial}: n={n} separable state got E={e}")
-
-        elif property_id == 2:
-            n = int(rng.integers(2, max_n + 1))
-            state, blocks = _random_dressed(rng, n, cap)
-            u = random_local_unitary(n, rng)
-            before = classify(state, tol)
-            after = classify(apply_local_unitary(state, u), tol)
-            same = (
-                before.blocks == after.blocks
-                and before.shape == after.shape
-                and before.index == after.index
-            )
-            cases += 1
-            if not same:
-                max_dev = max(max_dev, 1.0)
-                failures.append(
-                    f"trial {trial}: n={n} blocks={blocks} report changed under LU: "
-                    f"{(before.blocks, before.index)} -> {(after.blocks, after.index)}"
-                )
-
-        elif property_id == 3:
-            n = int(rng.integers(2, max_n + 1))
-            state, _ = _random_dressed(rng, n, cap)
-            e_before = entanglement_index(state, tol)
-            q = int(rng.integers(n))
-            for basis in ("Z", "X"):
-                expected = expected_index_after(state, q, basis, tol)
-                dev = expected - e_before
-                cases += 1
-                max_dev = max(max_dev, dev)
-                if dev > tol:
-                    failures.append(
-                        f"trial {trial}: n={n} q={q} basis={basis} "
-                        f"expected index rose by {dev:.3e}"
-                    )
-
-        else:
-            # leave room for at least one qubit of B under the cap
-            n_a = int(rng.integers(1, min(max_n, cap - 1) + 1))
-            n_b = int(rng.integers(1, min(max_n, cap - n_a) + 1))
-            state_a, _ = _random_dressed(rng, n_a, cap)
-            state_b, _ = _random_dressed(rng, n_b, cap)
-            joint = tensor(state_a, state_b, max_qubits=cap)
-            e_a = entanglement_index(state_a, tol)
-            e_b = entanglement_index(state_b, tol)
-            e_ab = entanglement_index(joint, tol)
-            cases += 1
-            dev = float(abs(e_ab - e_a - e_b))
             max_dev = max(max_dev, dev)
-            if e_ab != e_a + e_b:
-                failures.append(
-                    f"trial {trial}: E({n_a}+{n_b} qubits)={e_ab} but parts give {e_a}+{e_b}"
-                )
-
+            if dev > limit:
+                failures.append(f"trial {trial}: {message}")
     return PropertyReport(
         property_id=property_id,
         cases_run=cases,

@@ -4,12 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; plain ``pytest`` runs them silently as ordinary tests.
 """
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import entdex
 from entdex.classify import Ensemble, classify, ensemble_index
 from entdex.construct import ghz, ghz_product, random_local_unitary
 from entdex.partitions import class_spectrum, enumerate_partitions, partition_count
@@ -174,12 +177,16 @@ def test_criterion_7_numerical_soundness():
 
 
 def test_criterion_8_cli_determinism(tmp_path):
+    # run the package under test, not some other installed copy
+    env = dict(os.environ, PYTHONPATH=str(Path(entdex.__file__).parents[1]))
+
     def run_cli(*args):
         return subprocess.run(
             [sys.executable, "-m", "entdex", *args],
             capture_output=True,
             text=True,
             check=False,
+            env=env,
         )
 
     commands = [

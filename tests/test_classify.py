@@ -442,6 +442,21 @@ class TestMixedScanOracle:
         rho = density_matrix(permute_density(mat, (4, 0, 2, 5, 1, 3)))
         assert mixed_product_split(rho) == scan_mixed_split(rho, 1e-9) == expected
 
+    @pytest.mark.parametrize(
+        "eps, expected",
+        [(1e-10, ((0, 2, 4), (1, 3))), (1e-8, ((0, 1, 2, 3, 4),))],
+        ids=["tol/10", "10tol"],
+    )
+    def test_noisy_two_block_product_agrees_with_subset_scan(self, eps, expected):
+        # the peel splits both; only the certification of the one cut rejects 10tol
+        rng = np.random.default_rng(29)
+        mat = np.kron(random_mixed_block(rng, 3), random_mixed_block(rng, 2))
+        g = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+        sigma = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        mat = mat + eps * (sigma - mat) / np.linalg.norm(sigma - mat)
+        rho = density_matrix(permute_density(mat, (0, 2, 4, 1, 3)))
+        assert mixed_product_split(rho) == scan_mixed_split(rho, 1e-9) == expected
+
 
 @pytest.fixture
 def partial_trace_calls(monkeypatch):
@@ -473,3 +488,11 @@ class TestMixedWork:
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 3, 6), (1, 4), (2, 5, 7))
         assert len(partial_trace_calls) <= 2 * 3
+
+    def test_two_block_split_is_certified_once(self, partial_trace_calls):
+        rng = np.random.default_rng(5)
+        mat = np.kron(random_mixed_block(rng, 4), random_mixed_block(rng, 4))
+        perm = (6, 1, 3, 0, 7, 2, 4, 5)
+        rho = density_matrix(permute_density(mat, perm))
+        assert mixed_product_split(rho) == ((0, 1, 3, 6), (2, 4, 5, 7))
+        assert len(partial_trace_calls) <= 2

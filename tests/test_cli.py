@@ -284,20 +284,17 @@ _DOCS = st.recursive(
 
 
 def _mutated(draw, doc, keys):
-    """``doc`` with at most one entry replaced, dropped or, for a list, extended."""
+    """``doc``, or ``doc`` with the entry at one of ``keys`` replaced or dropped."""
     if draw(st.booleans()):
         return doc
     key = draw(st.sampled_from(keys))
     target = doc
     for k in key[:-1]:
         target = target[k]
-    action = draw(st.sampled_from(["replace", "drop", "extend"]))
-    if action == "replace" or (action == "extend" and not isinstance(target, list)):
+    if draw(st.booleans()):
         target[key[-1]] = draw(_DOCS)
-    elif action == "drop":
-        del target[key[-1]]
     else:
-        target.append(draw(_DOCS))
+        del target[key[-1]]
     return doc
 
 

@@ -7,12 +7,12 @@ import pytest
 from entdex.classify import entanglement_index
 from entdex.construct import basis_state, ghz, ghz_product
 from entdex.properties import (
-    PROPERTY_TOLERANCES,
     expected_index_after,
     ghz_epr_arithmetic,
     measure_qubit,
     run_property_suite,
 )
+from entdex.states import DEFAULT_TOL
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -114,7 +114,7 @@ class TestPropertySuites:
     def test_measurement_suite_clean(self):
         report = run_property_suite(3, max_n=5, trials=50, seed=1)
         assert report.failures == ()
-        assert report.max_deviation <= PROPERTY_TOLERANCES[3]
+        assert report.max_deviation <= DEFAULT_TOL
         assert report.cases_run == 100  # two bases per trial
 
     @pytest.mark.parametrize("pid", [1, 2, 3, 4])
@@ -126,7 +126,7 @@ class TestPropertySuites:
     @pytest.mark.parametrize("pid", [1, 2, 3, 4])
     def test_failures_iff_deviation_beyond_tolerance(self, pid):
         report = run_property_suite(pid, max_n=4, trials=25, seed=2)
-        assert (report.failures == ()) == (report.max_deviation <= PROPERTY_TOLERANCES[pid])
+        assert (report.failures == ()) == (report.max_deviation <= (DEFAULT_TOL if pid == 3 else 0.0))
 
     def test_seed_changes_cases(self):
         a = run_property_suite(1, max_n=5, trials=10, seed=1)
