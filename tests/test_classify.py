@@ -448,11 +448,12 @@ class TestMixedScanOracle:
         ids=["tol/10", "10tol"],
     )
     def test_noisy_two_block_product_agrees_with_subset_scan(self, eps, expected):
-        # the peel splits both; only the certification of the one cut rejects 10tol
+        # the peel splits at both noise levels; only certifying the cut rejects 10tol
         rng = np.random.default_rng(29)
         mat = np.kron(random_mixed_block(rng, 3), random_mixed_block(rng, 2))
         g = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
-        sigma = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        sigma = g @ g.conj().T
+        sigma /= np.trace(sigma).real
         mat = mat + eps * (sigma - mat) / np.linalg.norm(sigma - mat)
         rho = density_matrix(permute_density(mat, (0, 2, 4, 1, 3)))
         assert mixed_product_split(rho) == scan_mixed_split(rho, 1e-9) == expected
