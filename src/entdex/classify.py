@@ -209,6 +209,7 @@ def ensemble_index(e: Ensemble, tol: float = DEFAULT_TOL) -> float:
     classified at ``tol`` first.  The result depends on the decomposition
     supplied; no search over alternative decompositions is attempted.
     """
+    tol = _check_tol(tol)
     total = 0.0
     for prob, payload in e.terms:
         if isinstance(payload, PureState):
@@ -227,7 +228,10 @@ def _reordered_entries(rho: DensityMatrix, order: list[int]) -> np.ndarray:
 
 def _is_product_cut(rho: DensityMatrix, block: tuple[int, ...], tol: float) -> bool:
     comp = tuple(q for q in range(rho.n_qubits) if q not in block)
-    product = np.kron(partial_trace(rho, block).mat, partial_trace(rho, comp).mat)
+    try:
+        product = np.kron(partial_trace(rho, block).mat, partial_trace(rho, comp).mat)
+    except ValueError:  # a marginal of a slightly non-positive rho can fail the purity check
+        return False
     target = _reordered_entries(rho, list(block) + list(comp))
     return float(np.linalg.norm(target - product)) <= tol
 

@@ -25,6 +25,7 @@ carries results only; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -43,7 +44,7 @@ from .partitions import (
     partition_count,
 )
 from .properties import PROPERTY_IDS, run_property_suite
-from .states import DEFAULT_MAX_QUBITS, MAX_QUBITS_CEILING, PureState
+from .states import DEFAULT_MAX_QUBITS, DEFAULT_TOL, MAX_QUBITS_CEILING, PureState
 
 FORMAT_VERSION = 1
 BIT_ORDER = "q0-most-significant"
@@ -130,8 +131,6 @@ def _state_from_raw(vec: np.ndarray, n: int, where: str) -> tuple[PureState, lis
         )
     if defect > NORM_SILENT:
         warnings.append(f"{where}: norm defect {defect:.3e}; renormalizing")
-    if nrm == 0.0:
-        raise NormDefectError(f"{where}: zero state vector")
     return PureState(n, vec / nrm), warnings
 
 
@@ -240,15 +239,6 @@ def _class_report_doc(report) -> dict:
     }
 
 
-def _property_report_doc(report) -> dict:
-    return {
-        "property_id": report.property_id,
-        "cases_run": report.cases_run,
-        "failures": list(report.failures),
-        "max_deviation": report.max_deviation,
-    }
-
-
 def _cmd_partitions(args: argparse.Namespace, max_qubits: int) -> int:
     if args.counts:
         count = partition_count(args.n)
@@ -347,7 +337,7 @@ def _cmd_verify(args: argparse.Namespace, max_qubits: int) -> int:
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
-            "reports": [_property_report_doc(r) for r in reports],
+            "reports": [dataclasses.asdict(r) for r in reports],
         }
         sys.stdout.write(_dumps(doc))
     else:
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="classify a state file")
     p_cls.add_argument("file")
-    p_cls.add_argument("--tol", type=float, default=1e-9)
+    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_cls.add_argument("--json", action="store_true")
     p_cls.set_defaults(handler=_cmd_classify)
 

@@ -2,20 +2,21 @@
 
 The enumerator and the counter deliberately use unrelated algorithms
 (reverse-lexicographic successor walk vs. the Euler pentagonal-number
-recurrence) so each can serve as an oracle for the other.
+recurrence) so each can serve as an oracle for the other.  Both accept
+n up to the fixed cap MAX_N = 40.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-DEFAULT_MAX_N = 40
+MAX_N = 40
 
 
-def _check_n(n: int, max_n: int) -> int:
+def _check_n(n: int) -> int:
     if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the cap of {max_n}")
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the cap of {MAX_N}")
     return n
 
 
@@ -31,12 +32,12 @@ def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     return tup
 
 
-def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, ...]]:
+def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
     """All integer partitions of n in reverse-lexicographic order.
 
     Starts at (n,) and ends at (1,)*n; each partition appears exactly once.
     """
-    _check_n(n, max_n)
+    _check_n(n)
     out: list[tuple[int, ...]] = []
     a = [n]
     while True:
@@ -57,9 +58,9 @@ def enumerate_partitions(n: int, max_n: int = DEFAULT_MAX_N) -> list[tuple[int, 
             budget -= c
 
 
-def partition_count(n: int, max_n: int = DEFAULT_MAX_N) -> int:
+def partition_count(n: int) -> int:
     """p(n) via the pentagonal-number recurrence (independent of the enumerator)."""
-    _check_n(n, max_n)
+    _check_n(n)
     p = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0
@@ -110,6 +111,6 @@ def index_of(parts: Iterable[int]) -> int:
     return sum(tup) - len(tup)
 
 
-def class_spectrum(n: int, max_n: int = DEFAULT_MAX_N) -> set[int]:
+def class_spectrum(n: int) -> set[int]:
     """Set of index values over all partitions of n; always {0, ..., n-1}."""
-    return {index_of(parts) for parts in enumerate_partitions(n, max_n)}
+    return {index_of(parts) for parts in enumerate_partitions(n)}

@@ -5,7 +5,8 @@ The four requirements: (1) zero for fully separable states, (2) invariance
 under local unitaries, (3) no increase in expectation under local projective
 measurement, (4) additivity over tensor products.  Suites draw seeded random
 cases from the ground-truth construction helpers, so every expected value is
-known by construction.
+known by construction.  Suites and the arithmetic check classify at the
+default tolerance DEFAULT_TOL.
 """
 from __future__ import annotations
 
@@ -123,20 +124,20 @@ def _random_dressed(rng: np.random.Generator, n: int, cap: int):
     return ghz_product(shape, perm=perm, lu_seed=lu_seed, max_qubits=cap)
 
 
-def _trial_separable(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+def _trial_separable(rng: np.random.Generator, max_n: int, cap: int):
     # per-qubit Haar dressing of |0...0> is separable by construction
     n = int(rng.integers(2, max_n + 1))
     lu = random_local_unitary(n, rng)
-    e = entanglement_index(apply_local_unitary(basis_state([0] * n), lu), tol)
+    e = entanglement_index(apply_local_unitary(basis_state([0] * n), lu))
     return [(float(abs(e)), f"n={n} separable state got E={e}")]
 
 
-def _trial_lu_invariance(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+def _trial_lu_invariance(rng: np.random.Generator, max_n: int, cap: int):
     n = int(rng.integers(2, max_n + 1))
     state, blocks = _random_dressed(rng, n, cap)
     u = random_local_unitary(n, rng)
-    before = classify(state, tol)
-    after = classify(apply_local_unitary(state, u), tol)
+    before = classify(state)
+    after = classify(apply_local_unitary(state, u))
     same = (
         before.blocks == after.blocks
         and before.shape == after.shape
@@ -149,28 +150,28 @@ def _trial_lu_invariance(rng: np.random.Generator, max_n: int, cap: int, tol: fl
     return [(0.0 if same else 1.0, message)]
 
 
-def _trial_measurement(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+def _trial_measurement(rng: np.random.Generator, max_n: int, cap: int):
     n = int(rng.integers(2, max_n + 1))
     state, _ = _random_dressed(rng, n, cap)
-    e_before = entanglement_index(state, tol)
+    e_before = entanglement_index(state)
     q = int(rng.integers(n))
     cases = []
     for basis in ("Z", "X"):
-        dev = expected_index_after(state, q, basis, tol) - e_before
+        dev = expected_index_after(state, q, basis) - e_before
         cases.append((dev, f"n={n} q={q} basis={basis} expected index rose by {dev:.3e}"))
     return cases
 
 
-def _trial_additivity(rng: np.random.Generator, max_n: int, cap: int, tol: float):
+def _trial_additivity(rng: np.random.Generator, max_n: int, cap: int):
     # leave room for at least one qubit of B under the cap
     n_a = int(rng.integers(1, min(max_n, cap - 1) + 1))
     n_b = int(rng.integers(1, min(max_n, cap - n_a) + 1))
     state_a, _ = _random_dressed(rng, n_a, cap)
     state_b, _ = _random_dressed(rng, n_b, cap)
     joint = tensor(state_a, state_b, max_qubits=cap)
-    e_a = entanglement_index(state_a, tol)
-    e_b = entanglement_index(state_b, tol)
-    e_ab = entanglement_index(joint, tol)
+    e_a = entanglement_index(state_a)
+    e_b = entanglement_index(state_b)
+    e_ab = entanglement_index(joint)
     message = f"E({n_a}+{n_b} qubits)={e_ab} but parts give {e_a}+{e_b}"
     return [(float(abs(e_ab - e_a - e_b)), message)]
 
@@ -184,7 +185,6 @@ def run_property_suite(
     max_n: int = 6,
     trials: int = 100,
     seed: int = 1,
-    tol: float = DEFAULT_TOL,
 ) -> PropertyReport:
     """Run one of the four property suites over seeded random cases.
 
@@ -192,9 +192,9 @@ def run_property_suite(
     produce an identical report.  Failures are returned in the report, never
     raised.  ``max_n`` may reach MAX_QUBITS_CEILING; states are built under
     the qubit cap max(DEFAULT_MAX_QUBITS, max_n), so draws for max_n up to
-    DEFAULT_MAX_QUBITS do not depend on the ceiling.  A case fails when its
-    deviation exceeds ``tol`` for property 3 and 0 for the exact integer
-    checks of properties 1, 2 and 4.
+    DEFAULT_MAX_QUBITS do not depend on the ceiling.  States are classified
+    at DEFAULT_TOL.  A case fails when its deviation exceeds DEFAULT_TOL for
+    property 3 and 0 for the exact integer checks of properties 1, 2 and 4.
     """
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"property_id must be one of {PROPERTY_IDS}, got {property_id!r}")
@@ -203,13 +203,13 @@ def run_property_suite(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     cap = max(DEFAULT_MAX_QUBITS, max_n)
-    limit = tol if property_id == 3 else 0.0
+    limit = DEFAULT_TOL if property_id == 3 else 0.0
     rng = np.random.default_rng(seed)
     failures: list[str] = []
     cases = 0
     max_dev = 0.0
     for trial in range(trials):
-        for dev, message in _TRIALS[property_id](rng, max_n, cap, tol):
+        for dev, message in _TRIALS[property_id](rng, max_n, cap):
             cases += 1
             max_dev = max(max_dev, dev)
             if dev > limit:
@@ -222,14 +222,14 @@ def run_property_suite(
     )
 
 
-def ghz_epr_arithmetic(max_m: int, tol: float = DEFAULT_TOL) -> ArithmeticReport:
+def ghz_epr_arithmetic(max_m: int) -> ArithmeticReport:
     """Check E(width-m block) = (m-1) * E(pair) for m = 2..max_m."""
     if not 2 <= max_m <= DEFAULT_MAX_QUBITS:
         raise ValueError(f"max_m must be in [2, {DEFAULT_MAX_QUBITS}], got {max_m}")
-    pair_unit = entanglement_index(ghz(2), tol)
+    pair_unit = entanglement_index(ghz(2))
     checks = []
     for m in range(2, max_m + 1):
-        e_m = entanglement_index(ghz(m), tol)
+        e_m = entanglement_index(ghz(m))
         equivalent = (m - 1) * pair_unit
         checks.append(ArithmeticCheck(m, e_m, equivalent, e_m == equivalent))
     return ArithmeticReport(tuple(checks), all(c.ok for c in checks))

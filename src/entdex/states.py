@@ -185,8 +185,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     if not kept:
         raise ValueError("keep-set must be nonempty")
     traced = [q for q in range(n) if q not in kept]
-    if not traced:
-        return DensityMatrix(n, rho.mat)
     t = rho.mat.reshape([2] * (2 * n))
     axes = (
         list(kept)

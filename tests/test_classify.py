@@ -295,6 +295,8 @@ class TestTolValidation:
             classify(ghz(3), tol=tol)
         with pytest.raises(ValueError, match="tol"):
             minimal_pure_subset(ghz(3), 0, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            ensemble_index(Ensemble(2, ((1.0, (2,)),)), tol=tol)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_mixed_split_rejects(self, tol):
@@ -457,6 +459,19 @@ class TestMixedScanOracle:
         mat = mat + eps * (sigma - mat) / np.linalg.norm(sigma - mat)
         rho = density_matrix(permute_density(mat, (0, 2, 4, 1, 3)))
         assert mixed_product_split(rho) == scan_mixed_split(rho, 1e-9) == expected
+
+    def test_non_positive_noise_is_not_certified(self):
+        # a (2,1) product plus a traceless Hermitian perturbation of norm 10*tol:
+        # rho passes DensityMatrix's checks, but its marginal on qubit 2 has
+        # purity 1 + 3.5e-9, which partial_trace refuses; the cut is then not
+        # certified instead of raising
+        rng = np.random.default_rng(12)
+        mat = np.kron(random_mixed_block(rng, 2), random_mixed_block(rng, 1))
+        h = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
+        h = h + h.conj().T
+        h -= np.trace(h) / len(h) * np.eye(len(h))
+        rho = density_matrix(mat + 1e-8 * h / np.linalg.norm(h))
+        assert mixed_product_split(rho) == ((0, 1, 2),)
 
 
 @pytest.fixture

@@ -198,6 +198,13 @@ class TestClassifyErrors:
         assert rc == 2
         assert "norm defect" in err
 
+    def test_zero_vector_refused_by_norm_defect(self, capsys, tmp_path):
+        p = write_state(tmp_path / "zero.json", [0.0, 0.0, 0.0, 0.0])
+        rc, out, err = run(capsys, "classify", str(p))
+        assert rc == 2
+        assert out == ""
+        assert "norm defect 1.000e+00" in err
+
     def test_factorization_failure_maps_to_exit_3(self, capsys, tmp_path, monkeypatch):
         p = write_state(tmp_path / "s.json", [1.0, 0.0])
 

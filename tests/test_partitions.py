@@ -58,8 +58,6 @@ class TestEnumeration:
             enumerate_partitions(0)
         with pytest.raises(ValueError):
             enumerate_partitions(41)
-        with pytest.raises(ValueError):
-            enumerate_partitions(6, max_n=5)
 
 
 class TestCounting:

@@ -135,6 +135,8 @@ class TestPartialTrace:
             two_hop = partial_trace(mid, [0, 1])
             one_hop = partial_trace(rho, [0, 1])
             np.testing.assert_allclose(two_hop.mat, one_hop.mat, atol=1e-9)
+            # keeping every qubit returns the input entries exactly
+            np.testing.assert_array_equal(partial_trace(rho, range(4)).mat, rho.mat)
 
     def test_reduced_density_matches(self):
         rng = np.random.default_rng(5)
