@@ -17,7 +17,6 @@ from .classify import (
     finest_factorization,
     minimal_pure_subset,
     mixed_product_split,
-    split_factors,
 )
 from .construct import GhzProduct, basis_state, ghz, ghz_product, random_local_unitary
 from .partitions import (
@@ -46,13 +45,11 @@ from .states import (
     PureState,
     apply_local_unitary,
     density_matrix,
-    frobenius_distance,
     marginal_purity,
     partial_trace,
     permute_qubits,
     pure_state,
     purity,
-    reduced_density,
     tensor,
     to_density,
 )
@@ -84,7 +81,6 @@ __all__ = [
     "enumerate_partitions",
     "expected_index_after",
     "finest_factorization",
-    "frobenius_distance",
     "ghz",
     "ghz_epr_arithmetic",
     "ghz_product",
@@ -99,10 +95,8 @@ __all__ = [
     "pure_state",
     "purity",
     "random_local_unitary",
-    "reduced_density",
     "run_property_suite",
     "shape_of",
-    "split_factors",
     "tensor",
     "to_density",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -30,10 +30,8 @@ from .states import (
     DEFAULT_TOL,
     DensityMatrix,
     PureState,
-    _split_matrix,
     marginal_purity,
     partial_trace,
-    qubit_subset,
 )
 
 LABEL_SEPARABLE = "fully separable"
@@ -179,27 +177,6 @@ def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
         tolerance_used=float(tol),
         warning=warning,
     )
-
-
-def split_factors(
-    psi: PureState, subset: Iterable[int]
-) -> tuple[PureState, PureState]:
-    """Extract the tensor factors across the cut (subset, complement).
-
-    Uses the dominant column of the cross reshaping, so it is exact for
-    product states and a best-effort rank-1 fit otherwise.  The returned
-    pair reproduces the state with the subset's qubits moved to the front:
-    ``kron(a.vec, b.vec)`` approximates ``permute-to-front(psi)``.
-    """
-    kept = qubit_subset(subset, psi.n_qubits)
-    if not kept or len(kept) == psi.n_qubits:
-        raise ValueError("subset must be a proper nonempty subset of the qubits")
-    m = _split_matrix(psi, kept)
-    col = int(np.argmax(np.linalg.norm(m, axis=0)))
-    a = m[:, col] / np.linalg.norm(m[:, col])
-    b = a.conj() @ m
-    b = b / np.linalg.norm(b)
-    return PureState(len(kept), a), PureState(psi.n_qubits - len(kept), b)
 
 
 def ensemble_index(e: Ensemble, tol: float = DEFAULT_TOL) -> float:

@@ -54,6 +54,12 @@ ENV_MAX_QUBITS = "ENTDEX_MAX_QUBITS"
 NORM_SILENT = 1e-6
 NORM_WARN = 1e-3
 
+# amplitudes per write: at any N, the floats and text of one chunk stay a
+# small fraction of the file
+CHUNK_PAIRS = 2048
+# one [re, im] pair as json.dumps(indent=2) lays it out inside the document
+_PAIR = "    [\n      %r,\n      %r\n    ]"
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -146,17 +152,25 @@ def load_state_file(
     return _state_from_raw(vec, n, str(path))
 
 
-def state_file_doc(psi: PureState) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "bit_order": BIT_ORDER,
-        "n": psi.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.vec],
-    }
-
-
 def save_state_file(path: str | Path, psi: PureState) -> None:
-    Path(path).write_text(_dumps(state_file_doc(psi)), encoding="utf-8")
+    """Write a state file, byte for byte as ``_dumps`` of the whole document.
+
+    The amplitudes go out CHUNK_PAIRS at a time, so neither the document nor
+    its text is ever held whole.  json writes a float with ``float.__repr__``
+    and the amplitudes are finite, so ``%r`` gives json's bytes.
+    """
+    head = _dumps(
+        {"format_version": FORMAT_VERSION, "bit_order": BIT_ORDER, "n": psi.n_qubits, "amplitudes": []}
+    )
+    with Path(path).open("w", encoding="utf-8") as f:
+        # the header ends in '"amplitudes": []'; open that list for the pairs
+        f.write(head.removesuffix("]\n}\n") + "\n")
+        for start in range(0, psi.dim, CHUNK_PAIRS):
+            flat = psi.vec[start : start + CHUNK_PAIRS].view(np.float64).tolist()
+            if start:
+                f.write(",\n")
+            f.write(",\n".join([_PAIR] * (len(flat) // 2)) % tuple(flat))
+        f.write("\n  ]\n}\n")
 
 
 def truth_sidecar_path(output: str | Path) -> Path:

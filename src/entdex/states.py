@@ -205,19 +205,6 @@ def _split_matrix(psi: PureState, subset: Sequence[int]) -> np.ndarray:
     return t.transpose(list(subset) + rest).reshape(2 ** len(subset), -1)
 
 
-def reduced_density(psi: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Marginal of a pure state, contracted directly from the amplitudes.
-
-    Avoids materializing the full 2**N x 2**N density matrix, so it works for
-    any state within the qubit cap as long as the kept subset is small enough.
-    """
-    kept = qubit_subset(keep, psi.n_qubits)
-    if not kept:
-        raise ValueError("keep-set must be nonempty")
-    m = _split_matrix(psi, kept)
-    return DensityMatrix(len(kept), m @ m.conj().T)
-
-
 def purity(rho: DensityMatrix) -> float:
     """trace(rho^2), computed as the squared Frobenius norm of the entries."""
     return float(np.vdot(rho.mat, rho.mat).real)
@@ -241,15 +228,6 @@ def marginal_purity(psi: PureState, keep: Iterable[int]) -> float:
     m = _split_matrix(psi, side)
     g = m @ m.conj().T
     return float(np.vdot(g, g).real)
-
-
-def frobenius_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Elementwise L2 distance between two operators of equal dimension."""
-    if rho.n_qubits != sigma.n_qubits:
-        raise ValueError(
-            f"dimension mismatch: {rho.n_qubits} vs {sigma.n_qubits} qubits"
-        )
-    return float(np.linalg.norm(rho.mat - sigma.mat))
 
 
 def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:

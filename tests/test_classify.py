@@ -16,7 +16,6 @@ from entdex.classify import (
     finest_factorization,
     minimal_pure_subset,
     mixed_product_split,
-    split_factors,
 )
 from entdex.construct import basis_state, ghz, ghz_product, random_local_unitary
 from entdex.partitions import enumerate_partitions, shape_of
@@ -192,38 +191,6 @@ class TestMinimalBlockUniqueness:
             lookup = {q: b for b in blocks for q in b}
             for i in range(n):
                 assert minimal_pure_subset(state, i) == lookup[i]
-
-
-class TestSplitFactors:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_reconstructs_ground_truth_products(self, n):
-        rng = np.random.default_rng(n)
-        for shape in enumerate_partitions(n):
-            if len(shape) == 1:
-                continue
-            state, blocks = ghz_product(shape, lu_seed=int(rng.integers(2**32)))
-            for block in blocks:
-                assert marginal_purity(state, block) >= 1.0 - 1e-9
-                a, b = split_factors(state, block)
-                rest = [q for q in range(n) if q not in block]
-                fronted = permute_qubits(
-                    state, _positions_to_perm(list(block) + rest)
-                )
-                assert np.linalg.norm(fronted.vec - np.kron(a.vec, b.vec)) <= 1e-4
-
-    def test_rejects_trivial_cuts(self):
-        with pytest.raises(ValueError):
-            split_factors(ghz(2), ())
-        with pytest.raises(ValueError):
-            split_factors(ghz(2), (0, 1))
-
-
-def _positions_to_perm(order):
-    """Permutation sending old qubit order[i] to position i."""
-    perm = [0] * len(order)
-    for pos, q in enumerate(order):
-        perm[q] = pos
-    return perm
 
 
 class TestEnsembleIndex:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 
 from entdex import cli
 from entdex.classify import FactorizationError
-from entdex.construct import ghz
+from entdex.construct import ghz, ghz_product
 from entdex.partitions import enumerate_partitions
 from entdex.properties import PropertyReport
+from entdex.states import PureState
 
 
 def run(capsys, *args):
@@ -155,6 +157,17 @@ class TestMakeAndClassify:
         )
         assert rc == 2
         assert "error" in err
+
+    def test_make_to_existing_directory(self, capsys, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        for output in (str(target), str(target) + "/"):
+            rc, out, err = run(capsys, "make", "--partition", "2", "-o", output)
+            assert rc == 2
+            assert "error: cannot write output" in err
+            assert out == ""
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
 
 class TestClassifyErrors:
@@ -545,6 +558,69 @@ class TestStateFileHelpers:
     def test_truth_sidecar_path(self):
         assert cli.truth_sidecar_path("out/s.json").name == "s.truth.json"
         assert cli.truth_sidecar_path("plain").name == "plain.truth.json"
+
+
+def _whole_document_state_file(psi):
+    """Reference encoder: the state file as one json.dumps of the document."""
+    doc = {
+        "format_version": 1,
+        "bit_order": "q0-most-significant",
+        "n": psi.n_qubits,
+        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.vec],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _hand_built_state():
+    vec = np.array([complex(-0.0, 1e-05), complex(5e-324, -0.0), complex(1 / 3, -2.5e-17), 0j])
+    vec[3] = math.sqrt(1.0 - float(np.vdot(vec, vec).real))
+    return PureState(2, vec)
+
+
+class TestStateFileWriter:
+    """save_state_file writes exactly the bytes of the whole-document encoder."""
+
+    def assert_matches_reference(self, path, psi):
+        cli.save_state_file(path, psi)
+        assert path.read_bytes() == _whole_document_state_file(psi).encode("utf-8")
+
+    def test_dressed_permuted_partitions(self, tmp_path):
+        rng = np.random.default_rng(6)
+        cases = 0
+        for n in range(1, 9):
+            for shape in enumerate_partitions(n):
+                perm = [int(q) for q in rng.permutation(n)]
+                state, _ = ghz_product(shape, perm=perm, lu_seed=int(rng.integers(2**32)))
+                self.assert_matches_reference(tmp_path / "s.json", state)
+                cases += 1
+        assert cases == 66
+
+    @pytest.mark.parametrize(
+        "psi",
+        [PureState(1, np.array([1.0, 0.0])), PureState(1, np.array([0.6, -0.8j])), _hand_built_state()],
+        ids=["basis1", "signed-zero1", "hand-built2"],
+    )
+    def test_float_reprs(self, tmp_path, psi):
+        self.assert_matches_reference(tmp_path / "s.json", psi)
+
+    # 2**13 pairs against a chunk just below, at and just above that, and the module's own
+    @pytest.mark.parametrize("chunk", [2**13 - 1, 2**13, 2**13 + 1, cli.CHUNK_PAIRS])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "CHUNK_PAIRS", chunk)
+        state, _ = ghz_product((7, 6), perm=list(range(12, -1, -1)), lu_seed=13)
+        self.assert_matches_reference(tmp_path / "s.json", state)
+
+    @pytest.mark.parametrize("lu_seed", [None, 16], ids=["bare", "dressed"])
+    def test_write_memory_below_a_quarter_of_the_file(self, tmp_path, lu_seed):
+        state, _ = ghz_product((16,), lu_seed=lu_seed, max_qubits=16)
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            cli.save_state_file(path, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4
 
 
 def test_stdout_carries_results_only(capsys, tmp_path):

@@ -10,13 +10,11 @@ from entdex.states import (
     PureState,
     apply_local_unitary,
     density_matrix,
-    frobenius_distance,
     marginal_purity,
     partial_trace,
     permute_qubits,
     pure_state,
     purity,
-    reduced_density,
     tensor,
     to_density,
 )
@@ -138,14 +136,11 @@ class TestPartialTrace:
             # keeping every qubit returns the input entries exactly
             np.testing.assert_array_equal(partial_trace(rho, range(4)).mat, rho.mat)
 
-    def test_reduced_density_matches(self):
+    def test_marginal_purity_matches_partial_trace(self):
         rng = np.random.default_rng(5)
         psi = haar_state(rng, 4)
         rho = to_density(psi)
         for keep in [(0,), (2,), (0, 3), (1, 2, 3)]:
-            np.testing.assert_allclose(
-                reduced_density(psi, keep).mat, partial_trace(rho, keep).mat, atol=1e-12
-            )
             assert abs(marginal_purity(psi, keep) - purity(partial_trace(rho, keep))) < 1e-12
 
     def test_marginal_purity_full_set(self):
@@ -158,28 +153,6 @@ class TestPartialTrace:
             joint = tensor(a, b)
             assert marginal_purity(joint, (0, 1)) >= 1.0 - 1e-9
             assert marginal_purity(joint, (2, 3, 4)) >= 1.0 - 1e-9
-
-
-class TestFrobenius:
-    def test_identity_of_indiscernibles(self):
-        rho = to_density(bell())
-        assert frobenius_distance(rho, rho) == 0.0
-
-    def test_orthogonal_projectors(self):
-        a = density_matrix(np.diag([1.0, 0.0]))
-        b = density_matrix(np.diag([0.0, 1.0]))
-        assert abs(frobenius_distance(a, b) - math.sqrt(2.0)) < 1e-12
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            a = to_density(haar_state(rng, 2))
-            b = to_density(haar_state(rng, 2))
-            assert frobenius_distance(a, b) == frobenius_distance(b, a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            frobenius_distance(to_density(bell()), to_density(pure_state([1, 0])))
 
 
 class TestLocalUnitary:
