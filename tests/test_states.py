@@ -136,7 +136,9 @@ class TestPartialTrace:
             # keeping every qubit returns the input entries exactly
             np.testing.assert_array_equal(partial_trace(rho, range(4)).mat, rho.mat)
 
-    def test_marginal_purity_matches_partial_trace(self):
+    def test_reduced_density_matches(self):
+        # the marginal contracted from the amplitudes has the purity of the
+        # partial_trace of the full density matrix
         rng = np.random.default_rng(5)
         psi = haar_state(rng, 4)
         rho = to_density(psi)
