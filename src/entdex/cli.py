@@ -162,7 +162,7 @@ def save_state_file(path: str | Path, psi: PureState) -> None:
     head = _dumps(
         {"format_version": FORMAT_VERSION, "bit_order": BIT_ORDER, "n": psi.n_qubits, "amplitudes": []}
     )
-    with Path(path).open("w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8") as f:
         # the header ends in '"amplitudes": []'; open that list for the pairs
         f.write(head.removesuffix("]\n}\n") + "\n")
         for start in range(0, psi.dim, CHUNK_PAIRS):

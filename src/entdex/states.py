@@ -221,9 +221,6 @@ def marginal_purity(psi: PureState, keep: Iterable[int]) -> float:
     if not kept:
         raise ValueError("keep-set must be nonempty")
     other = [q for q in range(n) if q not in kept]
-    if not other:
-        nrm2 = float(np.vdot(psi.vec, psi.vec).real)
-        return nrm2 * nrm2
     side = kept if len(kept) <= len(other) else tuple(other)
     m = _split_matrix(psi, side)
     g = m @ m.conj().T

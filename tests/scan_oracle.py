@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from entdex.classify import FactorizationError, _reordered_entries
+from entdex.classify import FactorizationError
 from entdex.partitions import canonical_set_partition
 from entdex.states import marginal_purity, partial_trace
 
@@ -84,7 +84,9 @@ def _split_mixed(rho, labels, tol):
             part_a = partial_trace(rho, local)
             part_b = partial_trace(rho, comp)
             product = np.kron(part_a.mat, part_b.mat)
-            target = _reordered_entries(rho, list(local) + list(comp))
+            axes = list(local) + list(comp)
+            axes += [n + q for q in axes]
+            target = rho.mat.reshape([2] * (2 * n)).transpose(axes).reshape(2**n, 2**n)
             if float(np.linalg.norm(target - product)) <= tol:
                 return _split_mixed(
                     part_a, tuple(labels[q] for q in local), tol

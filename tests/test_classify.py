@@ -429,9 +429,8 @@ class TestMixedScanOracle:
 
     def test_non_positive_noise_is_not_certified(self):
         # a (2,1) product plus a traceless Hermitian perturbation of norm 10*tol:
-        # rho passes DensityMatrix's checks, but its marginal on qubit 2 has
-        # purity 1 + 3.5e-9, which partial_trace refuses; the cut is then not
-        # certified instead of raising
+        # rho passes DensityMatrix's checks, but across the (2,1) cut it lies
+        # about 1e-8 > tol from the product of its marginals, so no cut passes
         rng = np.random.default_rng(12)
         mat = np.kron(random_mixed_block(rng, 2), random_mixed_block(rng, 1))
         h = rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape)
@@ -440,42 +439,55 @@ class TestMixedScanOracle:
         rho = density_matrix(mat + 1e-8 * h / np.linalg.norm(h))
         assert mixed_product_split(rho) == ((0, 1, 2),)
 
+    def test_exact_non_positive_product_is_split(self):
+        # a is Hermitian with trace 1 but purity 1 + 3.5e-9, so partial_trace
+        # refuses it; tensored with a full-rank qubit m, rho = a (x) m passes
+        # DensityMatrix's checks and is at Frobenius distance 0 from a (x) m
+        rng = np.random.default_rng(12)
+        pure = to_density(ghz_product([2], lu_seed=int(rng.integers(2**32)))[0]).mat
+        shift = pure - np.eye(4) / 4
+        a = pure + 2e-9 * shift / np.linalg.norm(shift)
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = g @ g.conj().T / np.linalg.norm(g) ** 2
+        rho = density_matrix(np.kron(a, m))
+        assert mixed_product_split(rho) == ((0, 1), (2,))
+
 
 @pytest.fixture
-def partial_trace_calls(monkeypatch):
-    """Counts partial_trace calls made by the classifier."""
+def cut_tests(monkeypatch):
+    """Records the blocks whose cut the classifier certifies on the input."""
     module = sys.modules["entdex.classify"]
-    inner = module.partial_trace
+    inner = module._is_product_cut
     calls = []
 
-    def counted(rho, keep):
-        calls.append(tuple(keep))
-        return inner(rho, keep)
+    def counted(rho, block, tol):
+        calls.append(tuple(block))
+        return inner(rho, block, tol)
 
-    monkeypatch.setattr(module, "partial_trace", counted)
+    monkeypatch.setattr(module, "_is_product_cut", counted)
     return calls
 
 
 class TestMixedWork:
     @pytest.mark.parametrize("n", [4, 8, 10])
-    def test_ghz_density_needs_no_partial_trace(self, kernel_calls, partial_trace_calls, n):
+    def test_ghz_density_needs_no_partial_trace(self, kernel_calls, cut_tests, n):
         assert mixed_product_split(to_density(ghz(n))) == (tuple(range(n)),)
         assert len(kernel_calls) <= 4 * n
-        assert partial_trace_calls == []
+        assert cut_tests == []
 
-    def test_certification_is_two_partial_traces_per_block(self, partial_trace_calls):
+    def test_certification_is_one_cut_test_per_block(self, cut_tests):
         rng = np.random.default_rng(7)
         mat = np.kron(np.kron(random_mixed_block(rng, 3), random_mixed_block(rng, 3)),
                       random_mixed_block(rng, 2))
         perm = (5, 2, 7, 0, 3, 6, 1, 4)
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 3, 6), (1, 4), (2, 5, 7))
-        assert len(partial_trace_calls) <= 2 * 3
+        assert len(cut_tests) <= 3
 
-    def test_two_block_split_is_certified_once(self, partial_trace_calls):
+    def test_two_block_split_is_certified_once(self, cut_tests):
         rng = np.random.default_rng(5)
         mat = np.kron(random_mixed_block(rng, 4), random_mixed_block(rng, 4))
         perm = (6, 1, 3, 0, 7, 2, 4, 5)
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 1, 3, 6), (2, 4, 5, 7))
-        assert len(partial_trace_calls) <= 2
+        assert len(cut_tests) <= 1

@@ -161,7 +161,7 @@ class TestMakeAndClassify:
     def test_make_to_existing_directory(self, capsys, tmp_path):
         target = tmp_path / "out"
         target.mkdir()
-        for output in (str(target), str(target) + "/"):
+        for output in (str(target), str(target) + "/", str(tmp_path / "missing") + "/"):
             rc, out, err = run(capsys, "make", "--partition", "2", "-o", output)
             assert rc == 2
             assert "error: cannot write output" in err
