@@ -3,15 +3,15 @@
 Detection principle: for a globally pure state, the marginal on a subset S is
 itself pure exactly when S is a tensor factor, and the finest factorization
 into such factors is unique.  It is found by a Schmidt peel: one step per
-qubit, each splitting qubit 0 from the rest, so no subsets are enumerated.
-Every block found is then certified by the purity of its marginal on the
-input.  The index is E = N - p where p is the number of blocks.
+qubit, each splitting qubit 0 from the rest, so no subsets are enumerated;
+a step pays purity tests only when it leaves two or more candidate blocks.
+Every distinct cut found is then certified once by the purity of a marginal
+on the input.  The index is E = N - p where p is the number of blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
-when the operator vector vec(rho), with each qubit's row and column bits
-taken as two sites of a 2N-qubit state, is a product across A|B (the
-operator-Schmidt decomposition).  The peel's blocks of sites are mapped back
-to the qubits they belong to.
+when the operator vector vec(rho), with qubit q's row and column bits as one
+four-state site q, is a product across A|B (the operator-Schmidt
+decomposition), so the peel's blocks of sites are blocks of qubits.
 
 ``tol`` bounds the purity defect 1 - tr(rho^2) of a marginal, which scales
 as the square of the perturbation that entangles it.  ``mixed_product_split``
@@ -96,36 +96,43 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
-def _peel(vec: np.ndarray, tol: float) -> tuple[list[tuple[int, ...]], bool]:
+def _peel(vec: np.ndarray, tol: float, bits: int) -> tuple[list[tuple[int, ...]], bool]:
     """Finest blocks of a normalized amplitude array, in its local qubit indices.
 
-    A tensor factor that leaves out qubit 0 is also a factor of each row of
-    ``vec.reshape(2, -1)``, so every block of the heavier row is either a
-    block of ``vec`` or a piece of qubit 0's block; only the former has a pure
-    marginal on ``vec``.  Also reports whether any decision was near tol.
+    Sites of ``bits`` qubits each are never split.  A tensor factor that
+    leaves out site 0 is also a factor of each row of ``vec.reshape(2**bits,
+    -1)``, so every block of the heaviest row is either a block of ``vec`` or
+    a piece of site 0's block; only the former has a pure marginal on ``vec``.
+    A lone block is site 0's complement, whose marginal has the same defect,
+    so it needs no test.  Also reports whether any decision was near tol.
     """
     n = vec.size.bit_length() - 1
-    if n == 1:
-        return [(0,)], False
-    rows = vec.reshape(2, -1)
+    site = tuple(range(bits))
+    if n == bits:
+        return [site], False
+    rows = vec.reshape(2**bits, -1)
     gram = rows @ rows.conj().T
-    k = int(gram[1, 1].real > gram[0, 0].real)
-    found, near = _peel(rows[k] / math.sqrt(gram[k, k].real), tol)
-    rest = [tuple(q + 1 for q in block) for block in found]
-    defect = 1.0 - float(np.vdot(gram, gram).real)
+    weights = gram.diagonal().real.tolist()
+    k = weights.index(max(weights))
+    found, near = _peel(rows[k] / math.sqrt(weights[k]), tol, bits)
+    rest = [tuple(q + bits for q in block) for block in found]
+    defect = 1.0 - float(np.vdot(gram, gram).real) / sum(weights) ** 2
     if defect <= tol:
-        return [(0,)] + rest, near
-    psi = PureState(n, vec)
-    defects = [1.0 - marginal_purity(psi, block) for block in rest]
+        return [site] + rest, near
+    defects = [defect]
+    if len(rest) > 1:
+        psi = PureState(n, vec)
+        defects = [1.0 - marginal_purity(psi, block) for block in rest]
     near = near or any(tol < d <= 10.0 * tol for d in [defect, *defects])
-    head = (0,) + tuple(q for block, d in zip(rest, defects) if d > tol for q in block)
+    head = site + tuple(q for block, d in zip(rest, defects) if d > tol for q in block)
     return [head] + [block for block, d in zip(rest, defects) if d <= tol], near
 
 
 def _factorize(psi: PureState, tol: float) -> tuple[tuple[tuple[int, ...], ...], bool]:
     tol = _check_tol(tol)
-    blocks, near = _peel(psi.vec, tol)
-    for block in blocks:
+    blocks, near = _peel(psi.vec, tol, 1)
+    # a lone block is the whole state, and two blocks test the same cut
+    for block in blocks if len(blocks) > 2 else blocks[:-1]:
         defect = 1.0 - marginal_purity(psi, block)
         if defect > tol:
             raise FactorizationError(
@@ -210,18 +217,11 @@ def _is_product_cut(rho: DensityMatrix, block: tuple[int, ...], tol: float) -> b
 
 def _split_mixed(rho: DensityMatrix, tol: float) -> list[tuple[int, ...]]:
     n = rho.n_qubits
-    # site 2q holds qubit q's row bit and site 2q + 1 its column bit
+    # site q of vec(rho) is qubits 2q and 2q + 1: qubit q's row and column bits
     axes = [a for q in range(n) for a in (q, n + q)]
-    vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).reshape(-1)
-    found, _ = _peel(vec / np.linalg.norm(vec), tol)
-    groups: list[set[int]] = []
-    for sites in found:
-        group = {x // 2 for x in sites}
-        for other in [g for g in groups if g & group]:
-            groups.remove(other)
-            group |= other
-        groups.append(group)
-    blocks = [tuple(sorted(g)) for g in groups]
+    vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).flatten()
+    vec /= np.linalg.norm(vec)
+    blocks = [tuple(sorted(q // 2 for q in block[::2])) for block in _peel(vec, tol, 2)[0]]
     if len(blocks) == 1:
         return blocks
     if len(blocks) == 2:  # both blocks test the same cut
@@ -240,18 +240,18 @@ def mixed_product_split(
 ) -> tuple[tuple[int, ...], ...]:
     """Finest product splitting of a density matrix.
 
-    The Schmidt peel runs on vec(rho) / ||rho||_F as a 2N-qubit state whose
-    sites 2q and 2q + 1 are qubit q's row and column bits; blocks of sites
-    that share a qubit are merged.  The finest factorization of a vector is
-    unique and refines every split of rho, so for exact products this gives
-    the finest split of rho.  There ``tol`` bounds the purity defect of each
-    peel decision on the operator vector.  Each resulting block B is then
-    certified on the input: ||rho - rho_B (x) rho_rest||_F <= ``tol``, with
-    rho_rest the marginal on the other qubits.  The blocks that fail are
-    merged into one, which must pass in turn, or the whole register is one
-    block; so every returned split passes the Frobenius test.  Returns block
-    structure only; whether a block is entangled is not determined for mixed
-    inputs.
+    The Schmidt peel runs on vec(rho) / ||rho||_F as a state of N four-state
+    sites, site q holding qubit q's row and column bits, so its blocks are
+    blocks of qubits and nothing is merged.  The finest factorization of a
+    vector is unique and equals the finest split of rho, so for exact
+    products this gives the finest split of rho.  There ``tol`` bounds the
+    purity defect of each peel decision on the operator vector.  Each
+    resulting block B is then certified on the input: ||rho - rho_B (x)
+    rho_rest||_F <= ``tol``, with rho_rest the marginal on the other qubits.
+    The blocks that fail are merged into one, which must pass in turn, or the
+    whole register is one block; so every returned split passes the Frobenius
+    test.  Returns block structure only; whether a block is entangled is not
+    determined for mixed inputs.
     """
     blocks = _split_mixed(rho, _check_tol(tol))
     return canonical_set_partition(blocks, n_qubits=rho.n_qubits)

@@ -255,6 +255,17 @@ class TestMixedProductSplit:
         assert mixed_product_split(rho) == ((0, 2), (1,))
 
 
+class TestNormWithinTolerance:
+    @pytest.mark.parametrize("scale", [1 - 4e-10, 1 + 9e-10])
+    def test_scaled_states_keep_their_blocks(self, scale):
+        # PureState accepts these norms, so purity must read 1 on a product
+        psi = pure_state(scale * basis_state([0, 0, 0]).vec)
+        assert marginal_purity(psi, (0,)) == pytest.approx(1.0, abs=1e-15)
+        assert classify(psi).blocks == ((0,), (1,), (2,))
+        state, blocks = ghz_product([2, 1], perm=(2, 0, 1), lu_seed=7)
+        assert classify(pure_state(scale * state.vec)).blocks == blocks
+
+
 class TestTolValidation:
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     def test_pure_kernel_rejects(self, tol):
@@ -276,13 +287,13 @@ class TestTolValidation:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts marginal_purity calls made by the classifier."""
+    """Records the (state, keep) of each marginal_purity call by the classifier."""
     module = sys.modules["entdex.classify"]
     inner = module.marginal_purity
     calls = []
 
     def counted(psi, keep):
-        calls.append(tuple(keep))
+        calls.append((psi, tuple(keep)))
         return inner(psi, keep)
 
     monkeypatch.setattr(module, "marginal_purity", counted)
@@ -292,9 +303,36 @@ def kernel_calls(monkeypatch):
 class TestKernelWork:
     @pytest.mark.parametrize("psi", [ghz(12), ghz(20, max_qubits=20)], ids=["ghz12", "ghz20"])
     def test_ghz_is_linear(self, kernel_calls, psi):
+        # the heavier row of GHZ_N is |0...0>, so only the top level tests
         n = psi.n_qubits
         assert finest_factorization(psi) == (tuple(range(n)),)
-        assert len(kernel_calls) <= 2 * n
+        assert len(kernel_calls) <= n
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dressed_ghz12_needs_no_kernel(self, kernel_calls, seed):
+        # every row of a dressed GHZ block is one block, whose defect is
+        # site 0's; a lone block is the whole state, so nothing is certified
+        state, blocks = ghz_product([12], lu_seed=seed)
+        assert finest_factorization(state) == blocks
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dressed_ghz20_is_sublinear(self, kernel_calls, seed):
+        # deep rows of a dressed GHZ_20 can fall below tol, and each false
+        # split costs a test where the level above merges it back
+        state, blocks = ghz_product([20], lu_seed=seed, max_qubits=20)
+        assert finest_factorization(state) == blocks
+        assert len(kernel_calls) <= 20 // 2
+
+    def test_two_blocks_are_certified_once(self, kernel_calls):
+        rng = np.random.default_rng(43)
+        for n in range(2, 11):
+            for shape in [s for s in enumerate_partitions(n) if len(s) == 2]:
+                perm = [int(x) for x in rng.permutation(n)]
+                state, blocks = ghz_product(shape, perm=perm, lu_seed=int(rng.integers(2**32)))
+                kernel_calls.clear()
+                assert finest_factorization(state) == blocks
+                assert sum(psi is state for psi, _ in kernel_calls) == 1, (shape, perm)
 
     def test_dressed_partitions_are_quadratic(self, kernel_calls):
         rng = np.random.default_rng(41)
@@ -474,6 +512,29 @@ class TestMixedWork:
         assert mixed_product_split(to_density(ghz(n))) == (tuple(range(n)),)
         assert len(kernel_calls) <= 4 * n
         assert cut_tests == []
+
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_dressed_ghz_density_needs_no_kernel(self, kernel_calls, cut_tests, n):
+        state, blocks = ghz_product([n], lu_seed=n)
+        assert mixed_product_split(to_density(state)) == blocks
+        assert kernel_calls == []
+        assert cut_tests == []
+
+    def test_random_products_are_linear(self, kernel_calls):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            mat, left, blocks = np.ones((1, 1)), n, []
+            while left:
+                width = int(rng.integers(1, left + 1))
+                blocks.append(range(n - left, n - left + width))
+                left -= width
+                mat = np.kron(mat, random_mixed_block(rng, width))
+            perm = [int(x) for x in rng.permutation(n)]
+            expected = tuple(sorted(tuple(sorted(perm[q] for q in b)) for b in blocks))
+            kernel_calls.clear()
+            assert mixed_product_split(density_matrix(permute_density(mat, perm))) == expected
+            assert len(kernel_calls) <= 2 * n, (n, perm)
 
     def test_certification_is_one_cut_test_per_block(self, cut_tests):
         rng = np.random.default_rng(7)

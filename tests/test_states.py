@@ -1,5 +1,6 @@
 """Unit tests for the dense state/density-matrix operations."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestDensity:
         # purity above 1 comes from a non-positive "density matrix"
         with pytest.raises(ValueError, match="purity"):
             density_matrix([[1.0, 0.6], [0.6, 0.0]])
+
+    @pytest.mark.parametrize("row, col", [(0, 15), (15, 2), (9, 6)])
+    def test_hermiticity_is_checked_in_every_slab(self, row, col):
+        mat = np.eye(16, dtype=complex) / 16
+        mat[row, col] = 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            density_matrix(mat)
+
+    def test_construction_holds_one_copy_and_slabs(self):
+        entries = to_density(haar_state(np.random.default_rng(5), 10)).mat
+        tracemalloc.start()
+        try:
+            density_matrix(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * entries.nbytes
 
 
 class TestPartialTrace:

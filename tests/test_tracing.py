@@ -2,6 +2,11 @@
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from entdex.construct import ghz_product
+from entdex.states import density_matrix
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -17,3 +22,35 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for owner, attr in wrapped] == before
+
+
+def test_tracer_sees_every_kernel_call(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    module = importlib.import_module("entdex.classify")
+    inner = module.marginal_purity
+    calls = []
+
+    def counted(psi, keep):
+        calls.append(tuple(keep))
+        return inner(psi, keep)
+
+    monkeypatch.setattr(module, "marginal_purity", counted)
+    rng = np.random.default_rng(2)
+    blocks = []
+    for _ in range(2):
+        g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        blocks.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    rho = density_matrix(np.kron(*blocks))
+    state, expected = ghz_product([3, 2], lu_seed=7)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert module.classify(state).blocks == expected
+        assert module.mixed_product_split(rho) == ((0, 1), (2, 3))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts, 0.0)
+    assert calls
+    assert metrics["states.marginal_purity.calls"] == len(calls)
+    assert metrics["states.marginal_purity.bytes_computed"] > 0
