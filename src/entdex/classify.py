@@ -32,6 +32,7 @@ from .states import (
     PureState,
     marginal_purity,
     partial_trace,  # noqa: F401  perfbench/tracing.py wraps entdex.classify.partial_trace
+    qubit_subset,
 )
 
 LABEL_SEPARABLE = "fully separable"
@@ -152,10 +153,8 @@ def finest_factorization(
 
 def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
     """The block of qubit ``i``: the smallest S containing i with a pure marginal."""
-    n = psi.n_qubits
-    if not 0 <= int(i) < n:
-        raise ValueError(f"qubit index {i} out of range for {n} qubits")
-    return next(b for b in finest_factorization(psi, tol) if int(i) in b)
+    (i,) = qubit_subset([i], psi.n_qubits)
+    return next(b for b in finest_factorization(psi, tol) if i in b)
 
 
 def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:

@@ -7,7 +7,10 @@ of the same class without changing the block structure.
 """
 from __future__ import annotations
 
+import cmath
 import math
+from functools import partial, reduce
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -71,8 +74,8 @@ def _one_qubit_unitary(u: float, phi_frac: float, lam_frac: float) -> np.ndarray
     s = math.sin(theta / 2.0)
     return np.array(
         [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c],
+            [c, -cmath.exp(1j * lam) * s],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
         ],
         dtype=np.complex128,
     )
@@ -84,15 +87,13 @@ def random_local_unitary(n: int, seed: int | np.random.Generator) -> LocalUnitar
     The same integer seed always yields the same matrices.  Passing a
     Generator draws from it in place (three uniforms per qubit, in qubit
     order), which callers use to derive dressings from one master stream.
+    One ``rng.random((n, 3))`` draw gives the uniforms of n draws of three,
+    so a seed keeps its matrices and dressed state files keep their bytes.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ValueError(f"qubit count must be a positive integer, got {n!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mats = []
-    for _ in range(n):
-        u, phi_frac, lam_frac = rng.random(3)
-        mats.append(_one_qubit_unitary(float(u), float(phi_frac), float(lam_frac)))
-    return LocalUnitary(tuple(mats))
+    return LocalUnitary(tuple(_one_qubit_unitary(*row) for row in rng.random((n, 3)).tolist()))
 
 
 def ghz_product(
@@ -128,23 +129,14 @@ def ghz_product(
         raise ValueError(f"total width {n} exceeds the cap of {max_qubits}")
 
     if assignment is None:
-        blocks: list[tuple[int, ...]] = []
-        start = 0
-        for w in parts:
-            blocks.append(tuple(range(start, start + w)))
-            start += w
+        blocks = [tuple(range(end - w, end)) for w, end in zip(parts, accumulate(parts))]
     else:
         blocks = list(canonical_set_partition(assignment, n_qubits=n))
         if shape_of(blocks) != parts:
-            raise ValueError(
-                f"assignment blocks have shape {shape_of(blocks)}, expected {parts}"
-            )
+            raise ValueError(f"assignment blocks have shape {shape_of(blocks)}, expected {parts}")
 
-    psi: PureState | None = None
-    for block in blocks:
-        piece = ghz(len(block), max_qubits=max_qubits)
-        psi = piece if psi is None else tensor(psi, piece, max_qubits=max_qubits)
-    assert psi is not None
+    pieces = [ghz(len(block), max_qubits=max_qubits) for block in blocks]
+    psi = reduce(partial(tensor, max_qubits=max_qubits), pieces)
 
     # move the contiguously laid-out qubits onto their assigned positions
     positions = [q for block in blocks for q in block]

@@ -24,18 +24,17 @@ from .states import (
     MAX_QUBITS_CEILING,
     PureState,
     apply_local_unitary,
+    qubit_subset,
     tensor,
 )
 
 PROBABILITY_FLOOR = 1e-12
 PROPERTY_IDS = (1, 2, 3, 4)
 
+# the rows are each basis's outcome vectors
 _BASIS_VECTORS = {
-    "Z": (np.array([1.0, 0.0], dtype=np.complex128), np.array([0.0, 1.0], dtype=np.complex128)),
-    "X": (
-        np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0),
-        np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0),
-    ),
+    "Z": np.eye(2, dtype=np.complex128),
+    "X": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0),
 }
 
 
@@ -81,24 +80,22 @@ def measure_qubit(psi: PureState, q: int, basis: str) -> list[MeasurementOutcome
     factor.  Outcomes below probability 1e-12 are pruned.
     """
     n = psi.n_qubits
-    if not 0 <= int(q) < n:
-        raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    (q,) = qubit_subset([q], n)
     vectors = _BASIS_VECTORS.get(str(basis).upper())
     if vectors is None:
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    q = int(q)
-    t = psi.vec.reshape([2] * n)
+    # rows are qubit q, columns the other qubits in order: np.tensordot's operand
+    t = psi.vec.reshape(2**q, 2, -1).transpose(1, 0, 2).reshape(2, -1)
     outcomes = []
     for v in vectors:
         # amplitude of the outcome on the remaining qubits
-        w = np.tensordot(v.conj(), t, axes=([0], [q]))
+        w = np.dot(v.conj().reshape(1, 2), t)
         prob = float(np.vdot(w, w).real)
         if prob < PROBABILITY_FLOOR:
             continue
-        post = np.moveaxis(np.tensordot(v, w, axes=0), 0, q)
-        outcomes.append(
-            MeasurementOutcome(prob, PureState(n, post.reshape(-1) / math.sqrt(prob)))
-        )
+        # a K=1 gemm like tensordot(axes=0); np.multiply.outer rounds differently
+        post = np.dot(v.reshape(2, 1), w).reshape(2, 2**q, -1).transpose(1, 0, 2)
+        outcomes.append(MeasurementOutcome(prob, PureState(n, post.reshape(-1) / math.sqrt(prob))))
     return outcomes
 
 
@@ -112,13 +109,9 @@ def expected_index_after(
     )
 
 
-def _random_partition(rng: np.random.Generator, n: int) -> tuple[int, ...]:
-    options = enumerate_partitions(n)
-    return options[int(rng.integers(len(options)))]
-
-
 def _random_dressed(rng: np.random.Generator, n: int, cap: int):
-    shape = _random_partition(rng, n)
+    options = enumerate_partitions(n)
+    shape = options[int(rng.integers(len(options)))]
     perm = [int(x) for x in rng.permutation(n)]
     lu_seed = int(rng.integers(0, 2**32))
     return ghz_product(shape, perm=perm, lu_seed=lu_seed, max_qubits=cap)
@@ -138,11 +131,7 @@ def _trial_lu_invariance(rng: np.random.Generator, max_n: int, cap: int):
     u = random_local_unitary(n, rng)
     before = classify(state)
     after = classify(apply_local_unitary(state, u))
-    same = (
-        before.blocks == after.blocks
-        and before.shape == after.shape
-        and before.index == after.index
-    )
+    same = (before.blocks, before.shape, before.index) == (after.blocks, after.shape, after.index)
     message = (
         f"n={n} blocks={blocks} report changed under LU: "
         f"{(before.blocks, before.index)} -> {(after.blocks, after.index)}"

@@ -11,6 +11,8 @@ threads.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,11 +32,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains NaN or Inf entries")
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over ``n_qubits`` qubits (length 2**N)."""
@@ -48,11 +45,11 @@ class PureState:
             raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
         vec = np.array(self.vec, dtype=np.complex128, copy=True)
         if vec.shape != (2**n,):
-            raise ValueError(
-                f"amplitude vector must have shape (2**{n},), got {vec.shape}"
-            )
-        _require_finite(vec, "amplitude vector")
-        nrm = float(np.linalg.norm(vec))
+            raise ValueError(f"amplitude vector must have shape (2**{n},), got {vec.shape}")
+        # as one real vector an overflow reads inf, not NaN; scan only a non-finite norm
+        nrm = math.sqrt(np.vdot(vec.view(np.float64), vec.view(np.float64)))
+        if not (math.isfinite(nrm) or np.isfinite(vec).all()):
+            raise ValueError("amplitude vector contains NaN or Inf entries")
         if abs(nrm - 1.0) > DEFAULT_TOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "n_qubits", int(n))
@@ -83,7 +80,8 @@ class DensityMatrix:
         mat = np.array(self.mat, dtype=np.complex128, copy=True)
         if mat.shape != (d, d):
             raise ValueError(f"entries must have shape ({d}, {d}), got {mat.shape}")
-        _require_finite(mat, "density matrix")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix contains NaN or Inf entries")
         # slabs of d/8 rows keep the temporaries near a fifth of the matrix
         step = max(1, d // 8)
         for i in range(0, d, step):
@@ -112,17 +110,29 @@ class LocalUnitary:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        frozen = []
+        # names the lowest failing matrix and its first failing check (shape,
+        # finite, unitary), as a per-matrix loop would, with batched checks
+        mats, late = [], None
         for j, m in enumerate(self.matrices):
-            m = np.array(m, dtype=np.complex128, copy=True)
-            if m.shape != (2, 2):
-                raise ValueError(f"matrix {j} must be 2x2, got shape {m.shape}")
-            _require_finite(m, f"matrix {j}")
-            defect = np.max(np.abs(m.conj().T @ m - np.eye(2)))
-            if defect > DEFAULT_TOL:
-                raise ValueError(f"matrix {j} is not unitary (defect {defect:.3e})")
-            frozen.append(_freeze(m))
-        object.__setattr__(self, "matrices", tuple(frozen))
+            try:  # raised only if no earlier matrix fails
+                m = np.asarray(m, dtype=np.complex128)
+                if m.shape != (2, 2):
+                    raise ValueError(f"matrix {j} must be 2x2, got shape {m.shape}")
+            except Exception as exc:  # noqa: BLE001
+                late = exc
+                break
+            mats.append(m)
+        stack = _freeze(np.array(mats, dtype=np.complex128).reshape(-1, 2, 2))
+        stop = [*np.isfinite(stack).all(axis=(1, 2)).tolist(), False].index(False)
+        good = stack[:stop]
+        defects = np.abs(good.conj().transpose(0, 2, 1) @ good - np.eye(2)).max(axis=(1, 2))
+        for j in np.flatnonzero(defects > DEFAULT_TOL)[:1]:
+            raise ValueError(f"matrix {j} is not unitary (defect {defects[j]:.3e})")
+        if stop < len(mats):
+            raise ValueError(f"matrix {stop} contains NaN or Inf entries")
+        if late:
+            raise late
+        object.__setattr__(self, "matrices", tuple(stack))
 
     @property
     def n_qubits(self) -> int:
@@ -151,9 +161,19 @@ def density_matrix(entries: Sequence[Sequence[complex]] | np.ndarray) -> Density
     return DensityMatrix(n, mat)
 
 
+def qubit_index(q: object) -> int:
+    """``q`` as an int; bools and non-integers such as 1.9 are refused, not truncated."""
+    if not isinstance(q, bool):
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise ValueError(f"qubit index {q!r} is not an integer")
+
+
 def qubit_subset(members: Iterable[int], n_qubits: int) -> tuple[int, ...]:
     """Canonicalize a set of qubit indices: sorted, duplicate-free, in range."""
-    subset = tuple(sorted(int(q) for q in members))
+    subset = tuple(sorted(map(qubit_index, members)))
     if len(set(subset)) != len(subset):
         raise ValueError(f"duplicate qubit indices in {subset}")
     if subset and (subset[0] < 0 or subset[-1] >= n_qubits):
@@ -166,7 +186,7 @@ def tensor(a: PureState, b: PureState, max_qubits: int = DEFAULT_MAX_QUBITS) -> 
     n = a.n_qubits + b.n_qubits
     if n > max_qubits:
         raise ValueError(f"tensor product has {n} qubits, exceeding the cap of {max_qubits}")
-    return PureState(n, np.kron(a.vec, b.vec))
+    return PureState(n, np.multiply.outer(a.vec, b.vec).reshape(-1))
 
 
 def to_density(psi: PureState) -> DensityMatrix:
@@ -202,14 +222,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(k, np.einsum("ijtt->ij", block))
 
 
-def _split_matrix(psi: PureState, subset: Sequence[int]) -> np.ndarray:
-    """Amplitudes reshaped to (2**|subset|, 2**rest) with subset axes leading."""
-    n = psi.n_qubits
-    rest = [q for q in range(n) if q not in subset]
-    t = psi.vec.reshape([2] * n)
-    return t.transpose(list(subset) + rest).reshape(2 ** len(subset), -1)
-
-
 def purity(rho: DensityMatrix) -> float:
     """trace(rho^2), computed as the squared Frobenius norm of the entries."""
     return float(np.vdot(rho.mat, rho.mat).real)
@@ -227,27 +239,35 @@ def marginal_purity(psi: PureState, keep: Iterable[int]) -> float:
     if not kept:
         raise ValueError("keep-set must be nonempty")
     other = [q for q in range(n) if q not in kept]
-    side = kept if len(kept) <= len(other) else tuple(other)
-    m = _split_matrix(psi, side)
+    side, rest = (kept, other) if len(kept) <= len(other) else (other, kept)
+    m = psi.vec.reshape([2] * n).transpose(*side, *rest).reshape(2 ** len(side), -1)
     g = m @ m.conj().T
     return float(np.vdot(g, g).real) / sum(g.diagonal().real.tolist()) ** 2
 
 
 def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
-    """Apply one single-qubit unitary per qubit; preserves the norm."""
+    """Apply one single-qubit unitary per qubit; preserves the norm.
+
+    Qubit q's step is one gemm on the operand ``np.tensordot`` builds: rows
+    qubit q, columns the other qubits in their original order.  Any other
+    operand changes the last bits of the amplitudes, and so the bytes of
+    state files written from a seed.
+    """
     n = psi.n_qubits
     if u.n_qubits != n:
         raise ValueError(f"expected {n} per-qubit matrices, got {u.n_qubits}")
-    t = psi.vec.reshape([2] * n)
+    t = psi.vec.reshape(2, -1)
     for q, m in enumerate(u.matrices):
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
-    return PureState(n, t.reshape(-1))
+        if q:  # rows from qubit q - 1 to qubit q, with q - 1 back in its column place
+            t = t.reshape(2, 2 ** (q - 1), 2, -1).transpose(2, 1, 0, 3).reshape(2, -1)
+        t = np.dot(m, t)
+    return PureState(n, t.T.reshape(-1))
 
 
 def permute_qubits(psi: PureState, perm: Sequence[int]) -> PureState:
     """Relocate qubit ``i`` to position ``perm[i]`` for every i."""
     n = psi.n_qubits
-    p = [int(x) for x in perm]
+    p = [qubit_index(x) for x in perm]
     if sorted(p) != list(range(n)):
         raise ValueError(f"perm {perm!r} is not a bijection on [0, {n})")
     # output axis perm[i] must be fed by input axis i

@@ -1,0 +1,65 @@
+"""The reshape-and-dot forms give the bits of the numpy forms they replaced."""
+import numpy as np
+import pytest
+
+from entdex.construct import ghz_product, random_local_unitary
+from entdex.properties import measure_qubit
+from entdex.states import apply_local_unitary, pure_state, tensor
+from tensordot_oracle import (
+    looped_local_unitary_matrices,
+    tensordot_apply_local_unitary,
+    tensordot_measure_qubit,
+)
+
+
+def haar_state(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return pure_state(v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_apply_local_unitary_matches_tensordot(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        psi = haar_state(rng, n)
+        u = random_local_unitary(n, rng)
+        got = apply_local_unitary(psi, u).vec
+        assert got.tobytes() == tensordot_apply_local_unitary(psi, u).tobytes()
+
+
+def test_tensor_matches_kron():
+    rng = np.random.default_rng(300)
+    for n_a in range(1, 7):
+        for n_b in range(1, 7):
+            a, b = haar_state(rng, n_a), haar_state(rng, n_b)
+            assert tensor(a, b).vec.tobytes() == np.kron(a.vec, b.vec).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_measure_qubit_matches_tensordot(n):
+    rng = np.random.default_rng(200 + n)
+    dressed = ghz_product([n], perm=list(rng.permutation(n)), lu_seed=n).state
+    # a basis state prunes one Z outcome of every qubit
+    for psi in (haar_state(rng, n), dressed, pure_state(np.eye(2**n)[3 % 2**n])):
+        for q in range(n):
+            for basis in ("Z", "X"):
+                got = measure_qubit(psi, q, basis)
+                want = tensordot_measure_qubit(psi, q, basis)
+                assert len(got) == len(want)
+                for outcome, (prob, vec) in zip(got, want):
+                    assert outcome.probability == prob
+                    assert outcome.post_state.vec.tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_random_local_unitary_matches_three_uniform_draws(n):
+    for seed in range(5):
+        gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_local_unitary(n, gen).matrices
+        want = looped_local_unitary_matrices(n, ref)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        # the generator is left exactly 3n uniforms further on
+        assert gen.bit_generator.state == ref.bit_generator.state
+        fresh = np.random.default_rng(seed)
+        fresh.random(3 * n)
+        assert gen.random() == fresh.random()

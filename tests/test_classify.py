@@ -1,5 +1,6 @@
 """Tests for factorization recovery, classification, and the ensemble index."""
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,6 +52,14 @@ class TestMinimalPureSubset:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             minimal_pure_subset(ghz(2), 2)
+
+    @pytest.mark.parametrize("bad", [2.7, 0.5, True])
+    def test_non_integer_qubit_rejected(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"qubit index {bad!r} is not an integer")):
+            minimal_pure_subset(tensor(ghz(2), basis_state([0])), bad)
+
+    def test_numpy_integer_qubit(self):
+        assert minimal_pure_subset(tensor(ghz(2), basis_state([0])), np.int64(2)) == (2,)
 
 
 class TestFinestFactorization:

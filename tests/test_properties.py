@@ -66,6 +66,15 @@ class TestMeasureQubit:
         with pytest.raises(ValueError, match="range"):
             measure_qubit(ghz(2), 5, "Z")
 
+    @pytest.mark.parametrize("bad", [1.9, True, np.float64(0.0)])
+    def test_non_integer_qubit_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not an integer"):
+            measure_qubit(ghz(3), bad, "Z")
+
+    def test_numpy_integer_qubit(self):
+        outcomes = measure_qubit(ghz(3), np.int64(2), "Z")
+        assert [o.probability for o in outcomes] == pytest.approx([0.5, 0.5])
+
 
 class TestExpectedIndexAfter:
     @pytest.mark.parametrize("n", range(2, 7))

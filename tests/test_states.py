@@ -1,5 +1,6 @@
 """Unit tests for the dense state/density-matrix operations."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,30 @@ class TestLocalUnitary:
         with pytest.raises(ValueError, match="unitary"):
             LocalUnitary((np.array([[1, 0], [0, 2]], dtype=complex),))
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.eye(3), r"matrix 1 must be 2x2, got shape \(3, 3\)"),
+            (np.array([[np.nan, 0], [0, 1]]), "matrix 1 contains NaN or Inf entries"),
+            (np.array([[1, 0], [0, 2]]), r"matrix 1 is not unitary \(defect 3\.000e\+00\)"),
+        ],
+    )
+    def test_rejection_names_the_matrix(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            LocalUnitary((H, bad, X))
+
+    def test_lowest_bad_matrix_is_named(self):
+        with pytest.raises(ValueError, match="matrix 1 contains NaN"):
+            LocalUnitary((I2, np.full((2, 2), np.inf), 2 * I2, np.eye(3)))
+        # checks run per matrix: shape, then finite, then unitary
+        with pytest.raises(ValueError, match="matrix 0 is not unitary"):
+            LocalUnitary((2 * I2, np.eye(3)))
+        with pytest.raises(ValueError, match="matrix 0 is not unitary"):
+            LocalUnitary((2 * I2, "not a matrix"))
+
+    def test_empty_is_accepted(self):
+        assert LocalUnitary(()).n_qubits == 0
+
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -248,6 +273,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="NaN"):
             PureState(1, np.array([np.nan, 0.0]))
 
+    def test_inf_rejected(self):
+        with pytest.raises(ValueError, match="amplitude vector contains NaN or Inf entries"):
+            PureState(1, np.array([np.inf, 0.0]))
+
+    def test_huge_entries_are_not_normalized(self):
+        # |v|^2 overflows to inf, yet every entry is finite
+        with pytest.raises(ValueError, match=r"not normalized: \|norm - 1\| = inf"):
+            PureState(1, np.array([1e200, 1e200]))
+        with pytest.raises(ValueError, match=r"not normalized: \|norm - 1\| = inf"):
+            PureState(1, np.array([1e200 + 1e200j, 1e200]))
+
     def test_vectors_frozen(self):
         psi = bell()
         with pytest.raises(ValueError):
@@ -255,3 +291,34 @@ class TestValidation:
         rho = to_density(psi)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.0
+
+
+class TestQubitIndices:
+    """Indices are integers: 1.9 or True used to be truncated to qubit 1."""
+
+    @pytest.mark.parametrize("bad", [1.9, 0.5, True, np.float64(1.0), np.bool_(True), "1"])
+    def test_non_integers_rejected(self, bad):
+        psi = tensor(bell(), pure_state([1, 0]))
+        with pytest.raises(ValueError, match=re.escape(f"qubit index {bad!r} is not an integer")):
+            marginal_purity(psi, [bad])
+        with pytest.raises(ValueError, match="is not an integer"):
+            partial_trace(to_density(psi), [bad])
+
+    def test_fractional_index_is_not_qubit_one(self):
+        psi = tensor(bell(), pure_state([1, 0]))
+        assert marginal_purity(psi, [1]) == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="1.9"):
+            marginal_purity(psi, [1.9])
+
+    def test_permutation_entries_must_be_integers(self):
+        with pytest.raises(ValueError, match="qubit index 0.2 is not an integer"):
+            permute_qubits(ghz3(), [0.2, 1.9, 2.0])
+        with pytest.raises(ValueError, match="False"):
+            permute_qubits(bell(), [1, False])
+
+    def test_numpy_integers_pass(self):
+        psi = tensor(bell(), pure_state([1, 0]))
+        assert marginal_purity(psi, np.array([2])) == pytest.approx(1.0)
+        assert marginal_purity(psi, [np.int64(0), np.uint8(1)]) == pytest.approx(1.0)
+        out = permute_qubits(psi, np.array([2, 0, 1]))
+        assert np.array_equal(out.vec, permute_qubits(psi, [2, 0, 1]).vec)

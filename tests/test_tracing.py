@@ -1,5 +1,7 @@
 """The benchmark's tracer wraps program names by import path; pin that they exist."""
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -54,3 +56,17 @@ def test_tracer_sees_every_kernel_call(monkeypatch):
     assert calls
     assert metrics["states.marginal_purity.calls"] == len(calls)
     assert metrics["states.marginal_purity.bytes_computed"] > 0
+
+
+def test_benchmark_self_test_passes():
+    # every workload's ground-truth check accepts a right answer and rejects
+    # a wrong one, through the same program names the timed runs call
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--self-test"],
+        cwd=PERFBENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "self-test passed" in done.stdout
