@@ -1,0 +1,111 @@
+"""CLI outputs stay byte-identical across commits.
+
+One SHA-256 per group of CLI runs is pinned in ``tests/digests.json``:
+
+- ``make`` state files, sidecars and stdout, plus ``classify --json``
+  stdout, for all 66 partitions with N <= 8, LU-dressed and permuted;
+- the same for one partition each of N = 15 and N = 17;
+- ``verify --json`` stdout for three suite configurations.
+
+An intended output change is recorded by running, from the repository root::
+
+    PYTHONPATH=src python tests/test_digests.py --record
+
+and is then reviewed as a diff of ``tests/digests.json``.  The file also
+names the numpy version and BLAS it was recorded with, since the last bits
+of LU-dressed amplitudes depend on them.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from entdex import cli
+from entdex.partitions import enumerate_partitions
+
+DIGESTS = Path(__file__).with_name("digests.json")
+RECORD_COMMAND = "PYTHONPATH=src python tests/test_digests.py --record"
+WIDE_PARTITIONS = ((5, 4, 3, 2, 1), (5, 4, 3, 3, 2))  # N = 15 and N = 17
+VERIFY_RUNS = (
+    ("--suite", "all", "--max-n", "6", "--trials", "40", "--seed", "1"),
+    ("--suite", "all", "--max-n", "8", "--trials", "30", "--seed", "7"),
+    ("--suite", "3", "--max-n", "5", "--trials", "50", "--seed", "3"),
+)
+
+
+def _stdout(*args: str) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(args))
+    assert rc == 0, f"entdex {' '.join(args)} exited {rc}"
+    return out.getvalue().encode()
+
+
+def _make_and_classify(h, parts: tuple[int, ...], seed: int) -> None:
+    # run in the working directory, so stdout names the same relative path
+    n = sum(parts)
+    perm = [(seed - i) % n for i in range(n)]
+    joined = ",".join
+    h.update(_stdout("make", "--partition", joined(map(str, parts)), "--lu-seed", str(seed),
+                     "--perm", joined(map(str, perm)), "-o", "state.json"))
+    h.update(Path("state.json").read_bytes())
+    h.update(Path("state.truth.json").read_bytes())
+    h.update(_stdout("classify", "--json", "state.json"))
+
+
+def compute_digests(workdir: Path) -> dict[str, str]:
+    """Hex SHA-256 of each group of CLI outputs, with files written in ``workdir``."""
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        h = hashlib.sha256()
+        small = [parts for n in range(1, 9) for parts in enumerate_partitions(n)]
+        for seed, parts in enumerate(small):
+            _make_and_classify(h, parts, seed)
+        digests["make, classify --json: N <= 8"] = h.hexdigest()
+        with mock.patch.dict(os.environ, {cli.ENV_MAX_QUBITS: "20"}):
+            for parts in WIDE_PARTITIONS:
+                h = hashlib.sha256()
+                _make_and_classify(h, parts, seed=7)
+                digests[f"make, classify --json: N = {sum(parts)}"] = h.hexdigest()
+    finally:
+        os.chdir(cwd)
+    for args in VERIFY_RUNS:
+        digests["verify --json " + " ".join(args)] = hashlib.sha256(
+            _stdout("verify", "--json", *args)
+        ).hexdigest()
+    return digests
+
+
+def _environment() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def test_cli_outputs_match_recorded_digests(tmp_path):
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    now = compute_digests(tmp_path)
+    changed = sorted(k for k in recorded["digests"].keys() | now.keys()
+                     if recorded["digests"].get(k) != now.get(k))
+    assert not changed, (
+        f"CLI outputs changed for {changed}; recorded with {recorded['environment']}, "
+        f"run with {_environment()}. If the change is intended, re-record with "
+        f"`{RECORD_COMMAND}` and review the diff of {DIGESTS.name}."
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(f"usage: {RECORD_COMMAND}")
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = {"environment": _environment(), "digests": compute_digests(Path(tmp))}
+    DIGESTS.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {DIGESTS}")
