@@ -30,6 +30,7 @@ from .states import (
     DEFAULT_TOL,
     DensityMatrix,
     PureState,
+    integer,
     marginal_purity,
     partial_trace,  # noqa: F401  perfbench/tracing.py wraps entdex.classify.partial_trace
     qubit_subset,
@@ -65,8 +66,7 @@ class Ensemble:
     terms: tuple[tuple[float, Union[tuple[int, ...], PureState]], ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
+        n = integer(self.n_qubits, 1, "n_qubits must be a positive integer, got {!r}")
         norm_terms = []
         total = 0.0
         for prob, payload in self.terms:
@@ -75,16 +75,12 @@ class Ensemble:
                 raise ValueError(f"probabilities must lie in (0, 1], got {prob}")
             total += prob
             if isinstance(payload, PureState):
-                if payload.n_qubits != self.n_qubits:
-                    raise ValueError(
-                        f"state term has {payload.n_qubits} qubits, expected {self.n_qubits}"
-                    )
+                if payload.n_qubits != n:
+                    raise ValueError(f"state term has {payload.n_qubits} qubits, expected {n}")
             else:
                 payload = as_partition(payload)
-                if sum(payload) != self.n_qubits:
-                    raise ValueError(
-                        f"partition term {payload} does not sum to {self.n_qubits}"
-                    )
+                if sum(payload) != n:
+                    raise ValueError(f"partition term {payload} does not sum to {n}")
             norm_terms.append((prob, payload))
         if abs(total - 1.0) > DEFAULT_TOL:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")

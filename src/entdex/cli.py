@@ -97,15 +97,20 @@ def _load_json(path: str | Path) -> Any:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray, int]:
-    _require(isinstance(doc, dict), f"{where}: state must be a JSON object")
+def _parse_header(doc: Any, kind: str, max_qubits: int, where: str) -> int:
+    _require(isinstance(doc, dict), f"{where}: {kind} must be a JSON object")
     if "format_version" in doc:
         _require(doc["format_version"] == FORMAT_VERSION, f"{where}: unsupported format_version")
-    if "bit_order" in doc:
-        _require(doc["bit_order"] == BIT_ORDER, f"{where}: bit_order must be {BIT_ORDER!r}")
     n = doc.get("n")
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"{where}: n must be a positive integer")
     _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")
+    return n
+
+
+def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray, int]:
+    n = _parse_header(doc, "state", max_qubits, where)
+    if "bit_order" in doc:
+        _require(doc["bit_order"] == BIT_ORDER, f"{where}: bit_order must be {BIT_ORDER!r}")
     amps = doc.get("amplitudes")
     _require(isinstance(amps, list) and len(amps) == 2**n, f"{where}: amplitudes must be a list of exactly 2**n pairs")
     # exact types: JSON yields no int or float subclass other than bool
@@ -187,12 +192,7 @@ def load_ensemble_file(
     """
     doc = _load_json(path)
     where = str(path)
-    _require(isinstance(doc, dict), f"{where}: ensemble must be a JSON object")
-    if "format_version" in doc:
-        _require(doc["format_version"] == FORMAT_VERSION, f"{where}: unsupported format_version")
-    n = doc.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"{where}: n must be a positive integer")
-    _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")
+    n = _parse_header(doc, "ensemble", max_qubits, where)
     raw_terms = doc.get("terms")
     _require(isinstance(raw_terms, list) and raw_terms, f"{where}: terms must be a nonempty list")
     warnings: list[str] = []

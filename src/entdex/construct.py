@@ -21,6 +21,7 @@ from .states import (
     LocalUnitary,
     PureState,
     apply_local_unitary,
+    integer,
     permute_qubits,
     tensor,
 )
@@ -37,8 +38,7 @@ class GhzProduct(NamedTuple):
 
 def ghz(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> PureState:
     """GHZ state on n qubits; n=1 is the plain |0> (nothing to entangle)."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"block width must be a positive integer, got {n!r}")
+    n = integer(n, 1, "block width must be a positive integer, got {!r}")
     if n > max_qubits:
         raise ValueError(f"block width {n} exceeds the cap of {max_qubits}")
     vec = np.zeros(2**n, dtype=np.complex128)
@@ -47,7 +47,7 @@ def ghz(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> PureState:
     else:
         vec[0] = _INV_SQRT2
         vec[-1] = _INV_SQRT2
-    return PureState(int(n), vec)
+    return PureState(n, vec)
 
 
 def basis_state(bits: Sequence[int]) -> PureState:
@@ -56,9 +56,10 @@ def basis_state(bits: Sequence[int]) -> PureState:
         raise ValueError("bits must be nonempty")
     index = 0
     for b in bits:
-        if b not in (0, 1):
+        bit = integer(b, 0, "bits must be 0 or 1, got {!r}")
+        if bit > 1:
             raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        index = (index << 1) | int(b)
+        index = (index << 1) | bit
     vec = np.zeros(2 ** len(bits), dtype=np.complex128)
     vec[index] = 1.0
     return PureState(len(bits), vec)
@@ -90,8 +91,7 @@ def random_local_unitary(n: int, seed: int | np.random.Generator) -> LocalUnitar
     One ``rng.random((n, 3))`` draw gives the uniforms of n draws of three,
     so a seed keeps its matrices and dressed state files keep their bytes.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"qubit count must be a positive integer, got {n!r}")
+    n = integer(n, 1, "qubit count must be a positive integer, got {!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return LocalUnitary(tuple(_one_qubit_unitary(*row) for row in rng.random((n, 3)).tolist()))
 
@@ -145,7 +145,7 @@ def ghz_product(
 
     if perm is not None:
         psi = permute_qubits(psi, perm)
-        blocks = [tuple(int(perm[q]) for q in block) for block in blocks]
+        blocks = [tuple(perm[q] for q in block) for block in blocks]
 
     blocks_canon = canonical_set_partition(blocks, n_qubits=n)
 

@@ -7,14 +7,16 @@ n up to the fixed cap MAX_N = 40.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable
+
+from .states import integer, qubit_index
 
 MAX_N = 40
 
 
 def _check_n(n: int) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = integer(n, 1, "n must be a positive integer, got {!r}")
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the cap of {MAX_N}")
     return n
@@ -22,7 +24,7 @@ def _check_n(n: int) -> int:
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate a non-increasing sequence of positive integers."""
-    tup = tuple(int(p) for p in parts)
+    tup = tuple(integer(p, -math.inf, "partition part {!r} is not an integer") for p in parts)
     if not tup:
         raise ValueError("a partition needs at least one part")
     if any(p < 1 for p in tup):
@@ -37,7 +39,7 @@ def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
 
     Starts at (n,) and ends at (1,)*n; each partition appears exactly once.
     """
-    _check_n(n)
+    n = _check_n(n)
     out: list[tuple[int, ...]] = []
     a = [n]
     while True:
@@ -60,7 +62,7 @@ def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
 
 def partition_count(n: int) -> int:
     """p(n) via the pentagonal-number recurrence (independent of the enumerator)."""
-    _check_n(n)
+    n = _check_n(n)
     p = [1] + [0] * n
     for m in range(1, n + 1):
         total = 0
@@ -87,7 +89,7 @@ def canonical_set_partition(
     Each block is sorted internally; blocks are ordered by their smallest
     member.  N is inferred from the union unless ``n_qubits`` pins it.
     """
-    canon = tuple(sorted((tuple(sorted(int(q) for q in b)) for b in blocks), key=lambda b: b[0] if b else -1))
+    canon = tuple(sorted((tuple(sorted(map(qubit_index, b))) for b in blocks), key=lambda b: b[0] if b else -1))
     if not canon or any(not b for b in canon):
         raise ValueError("blocks must be nonempty")
     flat = [q for b in canon for q in b]

@@ -24,6 +24,7 @@ from .states import (
     MAX_QUBITS_CEILING,
     PureState,
     apply_local_unitary,
+    integer,
     qubit_subset,
     tensor,
 )
@@ -187,10 +188,10 @@ def run_property_suite(
     """
     if property_id not in PROPERTY_IDS:
         raise ValueError(f"property_id must be one of {PROPERTY_IDS}, got {property_id!r}")
+    max_n = integer(max_n, -math.inf, "max_n must be an integer, got {!r}")
     if not 2 <= max_n <= MAX_QUBITS_CEILING:
         raise ValueError(f"max_n must be in [2, {MAX_QUBITS_CEILING}], got {max_n}")
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    trials = integer(trials, 1, "trials must be a positive integer, got {}")
     cap = max(DEFAULT_MAX_QUBITS, max_n)
     limit = DEFAULT_TOL if property_id == 3 else 0.0
     rng = np.random.default_rng(seed)
@@ -213,6 +214,7 @@ def run_property_suite(
 
 def ghz_epr_arithmetic(max_m: int) -> ArithmeticReport:
     """Check E(width-m block) = (m-1) * E(pair) for m = 2..max_m."""
+    max_m = integer(max_m, -math.inf, "max_m must be an integer, got {!r}")
     if not 2 <= max_m <= DEFAULT_MAX_QUBITS:
         raise ValueError(f"max_m must be in [2, {DEFAULT_MAX_QUBITS}], got {max_m}")
     pair_unit = entanglement_index(ghz(2))

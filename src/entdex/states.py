@@ -32,6 +32,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _density_side(n: int) -> int:
+    if n > DENSITY_MAX_QUBITS:
+        raise ValueError(
+            f"refusing to materialize a {n}-qubit density matrix (limit {DENSITY_MAX_QUBITS})"
+        )
+    return 2**n
+
+
+def _unitary_defect(m: np.ndarray) -> np.ndarray:  # of one 2x2 matrix, or of each in a stack
+    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2)).max(axis=(-2, -1))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over ``n_qubits`` qubits (length 2**N)."""
@@ -40,9 +52,7 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+        n = integer(self.n_qubits, 1, "n_qubits must be a positive integer, got {!r}")
         vec = np.array(self.vec, dtype=np.complex128, copy=True)
         if vec.shape != (2**n,):
             raise ValueError(f"amplitude vector must have shape (2**{n},), got {vec.shape}")
@@ -52,7 +62,7 @@ class PureState:
             raise ValueError("amplitude vector contains NaN or Inf entries")
         if abs(nrm - 1.0) > DEFAULT_TOL:
             raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
-        object.__setattr__(self, "n_qubits", int(n))
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "vec", _freeze(vec))
 
     @property
@@ -68,15 +78,8 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
-        if n > DENSITY_MAX_QUBITS:
-            raise ValueError(
-                f"refusing to materialize a {n}-qubit density matrix "
-                f"(limit {DENSITY_MAX_QUBITS})"
-            )
-        d = 2**n
+        n = integer(self.n_qubits, 1, "n_qubits must be a positive integer, got {!r}")
+        d = _density_side(n)
         mat = np.array(self.mat, dtype=np.complex128, copy=True)
         if mat.shape != (d, d):
             raise ValueError(f"entries must have shape ({d}, {d}), got {mat.shape}")
@@ -95,7 +98,7 @@ class DensityMatrix:
         pur = float(np.vdot(mat, mat).real)
         if not (1.0 / d - DEFAULT_TOL <= pur <= 1.0 + DEFAULT_TOL):
             raise ValueError(f"purity {pur:.12g} outside [1/{d}, 1]")
-        object.__setattr__(self, "n_qubits", int(n))
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "mat", _freeze(mat))
 
     @property
@@ -110,29 +113,23 @@ class LocalUnitary:
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        # names the lowest failing matrix and its first failing check (shape,
-        # finite, unitary), as a per-matrix loop would, with batched checks
-        mats, late = [], None
-        for j, m in enumerate(self.matrices):
-            try:  # raised only if no earlier matrix fails
+        # one batched check; a failing stack is walked in index order to name its failure
+        try:
+            stack = np.array(self.matrices, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged, or an entry that is not a number
+            stack = np.empty(0)
+        if not (stack.shape == (len(self.matrices), 2, 2) and np.isfinite(stack).all()
+                and (_unitary_defect(stack) <= DEFAULT_TOL).all()):
+            for j, m in enumerate(self.matrices):
                 m = np.asarray(m, dtype=np.complex128)
                 if m.shape != (2, 2):
                     raise ValueError(f"matrix {j} must be 2x2, got shape {m.shape}")
-            except Exception as exc:  # noqa: BLE001
-                late = exc
-                break
-            mats.append(m)
-        stack = _freeze(np.array(mats, dtype=np.complex128).reshape(-1, 2, 2))
-        stop = [*np.isfinite(stack).all(axis=(1, 2)).tolist(), False].index(False)
-        good = stack[:stop]
-        defects = np.abs(good.conj().transpose(0, 2, 1) @ good - np.eye(2)).max(axis=(1, 2))
-        for j in np.flatnonzero(defects > DEFAULT_TOL)[:1]:
-            raise ValueError(f"matrix {j} is not unitary (defect {defects[j]:.3e})")
-        if stop < len(mats):
-            raise ValueError(f"matrix {stop} contains NaN or Inf entries")
-        if late:
-            raise late
-        object.__setattr__(self, "matrices", tuple(stack))
+                if not np.isfinite(m).all():
+                    raise ValueError(f"matrix {j} contains NaN or Inf entries")
+                defect = _unitary_defect(m)
+                if not defect <= DEFAULT_TOL:
+                    raise ValueError(f"matrix {j} is not unitary (defect {defect:.3e})")
+        object.__setattr__(self, "matrices", tuple(_freeze(stack)))
 
     @property
     def n_qubits(self) -> int:
@@ -161,22 +158,32 @@ def density_matrix(entries: Sequence[Sequence[complex]] | np.ndarray) -> Density
     return DensityMatrix(n, mat)
 
 
+def integer(value: object, low: float, message: str) -> int:
+    """``value`` through ``operator.index``, unless it is a bool or below ``low``:
+    then, or for a non-integer, ``ValueError(message.format(value))``.  The one
+    integer rule: a count, width, part, bit or index of 2.9 is refused, never truncated."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool) or n < low:
+        raise ValueError(message.format(value))
+    return n
+
+
 def qubit_index(q: object) -> int:
-    """``q`` as an int; bools and non-integers such as 1.9 are refused, not truncated."""
-    if not isinstance(q, bool):
-        try:
-            return operator.index(q)
-        except TypeError:
-            pass
-    raise ValueError(f"qubit index {q!r} is not an integer")
+    """``q`` under the integer rule; its range is the caller's to check."""
+    return integer(q, -math.inf, "qubit index {!r} is not an integer")
 
 
 def qubit_subset(members: Iterable[int], n_qubits: int) -> tuple[int, ...]:
-    """Canonicalize a set of qubit indices: sorted, duplicate-free, in range."""
+    """Canonicalize a set of qubit indices: nonempty, sorted, duplicate-free, in range."""
     subset = tuple(sorted(map(qubit_index, members)))
+    if not subset:
+        raise ValueError("keep-set must be nonempty")
     if len(set(subset)) != len(subset):
         raise ValueError(f"duplicate qubit indices in {subset}")
-    if subset and (subset[0] < 0 or subset[-1] >= n_qubits):
+    if subset[0] < 0 or subset[-1] >= n_qubits:
         raise ValueError(f"qubit indices {subset} out of range for {n_qubits} qubits")
     return subset
 
@@ -190,13 +197,10 @@ def tensor(a: PureState, b: PureState, max_qubits: int = DEFAULT_MAX_QUBITS) -> 
 
 
 def to_density(psi: PureState) -> DensityMatrix:
-    """Rank-1 density matrix of a pure state."""
-    if psi.n_qubits > DENSITY_MAX_QUBITS:
-        raise ValueError(
-            f"refusing to materialize the full density matrix of a "
-            f"{psi.n_qubits}-qubit state (limit {DENSITY_MAX_QUBITS})"
-        )
-    return DensityMatrix(psi.n_qubits, np.outer(psi.vec, psi.vec.conj()))
+    """Rank-1 density matrix over the squared norm: trace 1 at any norm PureState accepts."""
+    _density_side(psi.n_qubits)  # before np.outer allocates
+    v = psi.vec
+    return DensityMatrix(psi.n_qubits, np.outer(v, v.conj() / np.vdot(v, v).real))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -207,8 +211,6 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """
     n = rho.n_qubits
     kept = qubit_subset(keep, n)
-    if not kept:
-        raise ValueError("keep-set must be nonempty")
     traced = [q for q in range(n) if q not in kept]
     t = rho.mat.reshape([2] * (2 * n))
     axes = (
@@ -236,8 +238,6 @@ def marginal_purity(psi: PureState, keep: Iterable[int]) -> float:
     """
     n = psi.n_qubits
     kept = qubit_subset(keep, n)
-    if not kept:
-        raise ValueError("keep-set must be nonempty")
     other = [q for q in range(n) if q not in kept]
     side, rest = (kept, other) if len(kept) <= len(other) else (other, kept)
     m = psi.vec.reshape([2] * n).transpose(*side, *rest).reshape(2 ** len(side), -1)

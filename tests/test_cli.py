@@ -559,6 +559,34 @@ class TestStateFileHelpers:
         assert cli.truth_sidecar_path("out/s.json").name == "s.truth.json"
         assert cli.truth_sidecar_path("plain").name == "plain.truth.json"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "{kind} must be a JSON object"),
+            ({"format_version": 2, "n": 1}, "unsupported format_version"),
+            ({"n": 0}, "n must be a positive integer"),
+            ({"n": True}, "n must be a positive integer"),
+            ({"n": 2.0}, "n must be a positive integer"),
+            ({"n": 15}, "n=15 exceeds the qubit cap of 14"),
+        ],
+    )
+    def test_state_and_ensemble_headers_share_their_messages(self, tmp_path, doc, message):
+        for kind, load in (("state", cli.load_state_file), ("ensemble", cli.load_ensemble_file)):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(cli.FileFormatError) as info:
+                load(path)
+            assert str(info.value) == f"{path}: " + message.format(kind=kind)
+
+    def test_bit_order_is_checked_in_state_headers_only(self, tmp_path):
+        doc = {"bit_order": "q0-least-significant", "n": 1}
+        path = tmp_path / "e.json"
+        path.write_text(json.dumps({**doc, "terms": [{"p": 1.0, "partition": [1]}]}), encoding="utf-8")
+        assert cli.load_ensemble_file(path)[0].n_qubits == 1
+        path.write_text(json.dumps({**doc, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}), encoding="utf-8")
+        with pytest.raises(cli.FileFormatError, match="bit_order must be 'q0-most-significant'"):
+            cli.load_state_file(path)
+
 
 def _whole_document_state_file(psi):
     """Reference encoder: the state file as one json.dumps of the document."""

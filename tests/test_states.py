@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from entdex.classify import mixed_product_split
 from entdex.states import (
     DensityMatrix,
     LocalUnitary,
@@ -85,6 +86,28 @@ class TestDensity:
             rho = to_density(haar_state(rng, n))
             assert abs(np.trace(rho.mat) - 1.0) < 1e-12
             assert abs(purity(rho) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1 + 8e-10, 1 - 8e-10])
+    def test_to_density_accepts_every_norm_pure_state_accepts(self, scale):
+        # the outer product alone has trace scale**2, off by 1.6e-9
+        psi = PureState(3, np.eye(8)[0] * scale)
+        rho = to_density(psi)
+        assert abs(np.trace(rho.mat) - 1.0) < 1e-15
+        assert mixed_product_split(rho) == ((0,), (1,), (2,))
+
+    def test_density_width_is_refused_with_one_message_before_allocating(self):
+        message = "refusing to materialize a 13-qubit density matrix (limit 12)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DensityMatrix(13, np.zeros((1, 1)))
+        psi = PureState(13, np.eye(1, 2**13)[0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                to_density(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < psi.vec.nbytes
 
     def test_refuses_large_n(self):
         with pytest.raises(ValueError, match="refusing"):
@@ -222,6 +245,19 @@ class TestLocalUnitary:
 
     def test_empty_is_accepted(self):
         assert LocalUnitary(()).n_qubits == 0
+
+    def test_accepted_matrices_are_read_only_complex_copies(self):
+        u = LocalUnitary(([[1, 0], [0, 1]], H))
+        assert [m.dtype for m in u.matrices] == [np.complex128] * 2
+        assert np.array_equal(u.matrices[1], H)
+        with pytest.raises(ValueError):
+            u.matrices[0][0, 0] = 2.0
+
+    def test_ragged_matrices_are_refused(self):
+        with pytest.raises(ValueError):
+            LocalUnitary((I2, [[1, 0], [0]]))
+        with pytest.raises(ValueError, match=r"matrix 1 must be 2x2, got shape \(4, 1\)"):
+            LocalUnitary((I2, np.ones((4, 1))))
 
     def test_norm_preserved_random(self):
         rng = np.random.default_rng(21)
