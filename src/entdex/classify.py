@@ -5,17 +5,17 @@ itself pure exactly when S is a tensor factor, and the finest factorization
 into such factors is unique.  It is found by a Schmidt peel: one step per
 qubit, each splitting qubit 0 from the rest, so no subsets are enumerated;
 a step pays purity tests only when it leaves two or more candidate blocks.
-Every distinct cut found is then certified once by the purity of a marginal
-on the input.  The index is E = N - p where p is the number of blocks.
+Blocks whose cut the peel decided only on a row are then certified by their
+marginal purity on the input.  The index is E = N - p for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
 when the operator vector vec(rho), with qubit q's row and column bits as one
 four-state site q, is a product across A|B (the operator-Schmidt
 decomposition), so the peel's blocks of sites are blocks of qubits.
 
-``tol`` bounds the purity defect 1 - tr(rho^2) of a marginal, which scales
-as the square of the perturbation that entangles it.  ``mixed_product_split``
-certifies each split by Frobenius distance instead, with ``tol`` as the bound.
+``tol`` bounds the purity defect 1 - tr(rho^2) of a marginal (of vec(rho) for
+a density matrix), which scales as the square of the perturbation that
+entangles it.  A failed certification raises FactorizationError on both paths.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ LABEL_SEPARABLE = "fully separable"
 
 class FactorizationError(RuntimeError):
     """A block found by the peel failed certification: its marginal on the
-    input has a purity defect above tol, so the tolerance is numerically
-    borderline for this state."""
+    input, or on vec(rho) for a density matrix, has a purity defect above tol,
+    so the tolerance is numerically borderline for this state."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,9 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
-def _peel(vec: np.ndarray, tol: float, bits: int) -> tuple[list[tuple[int, ...]], bool]:
+def _peel(
+    vec: np.ndarray, tol: float, bits: int
+) -> tuple[list[tuple[int, ...]], bool, list[tuple[int, ...]]]:
     """Finest blocks of a normalized amplitude array, in its local qubit indices.
 
     Sites of ``bits`` qubits each are never split.  A tensor factor that
@@ -101,50 +103,55 @@ def _peel(vec: np.ndarray, tol: float, bits: int) -> tuple[list[tuple[int, ...]]
     -1)``, so every block of the heaviest row is either a block of ``vec`` or
     a piece of site 0's block; only the former has a pure marginal on ``vec``.
     A lone block is site 0's complement, whose marginal has the same defect,
-    so it needs no test.  Also reports whether any decision was near tol.
+    so it needs no test.  Also reports whether any decision was near tol, and
+    the blocks whose cut was not decided on ``vec`` itself.
     """
     n = vec.size.bit_length() - 1
     site = tuple(range(bits))
     if n == bits:
-        return [site], False
+        return [site], False, []
     rows = vec.reshape(2**bits, -1)
     gram = rows @ rows.conj().T
     weights = gram.diagonal().real.tolist()
     k = weights.index(max(weights))
-    found, near = _peel(rows[k] / math.sqrt(weights[k]), tol, bits)
+    found, near, _ = _peel(rows[k] / math.sqrt(weights[k]), tol, bits)
     rest = [tuple(q + bits for q in block) for block in found]
     defect = 1.0 - float(np.vdot(gram, gram).real) / sum(weights) ** 2
     if defect <= tol:
-        return [site] + rest, near
+        return [site] + rest, near, rest if len(rest) > 1 else []
     defects = [defect]
     if len(rest) > 1:
         psi = PureState(n, vec)
         defects = [1.0 - marginal_purity(psi, block) for block in rest]
     near = near or any(tol < d <= 10.0 * tol for d in [defect, *defects])
     head = site + tuple(q for block, d in zip(rest, defects) if d > tol for q in block)
-    return [head] + [block for block, d in zip(rest, defects) if d <= tol], near
+    kept = [block for block, d in zip(rest, defects) if d <= tol]
+    # beside a single kept block, the head's cut is that block's
+    return [head] + kept, near, [head] if len(kept) > 1 else []
 
 
-def _factorize(psi: PureState, tol: float) -> tuple[tuple[tuple[int, ...], ...], bool]:
+def _factorize(vec: np.ndarray, tol: float, bits: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Certified finest blocks of a normalized vector, in sites of ``bits`` qubits; near flag."""
     tol = _check_tol(tol)
-    blocks, near = _peel(psi.vec, tol, 1)
-    # a lone block is the whole state, and two blocks test the same cut
-    for block in blocks if len(blocks) > 2 else blocks[:-1]:
+    n = vec.size.bit_length() - 1
+    blocks, near, undecided = _peel(vec, tol, bits)
+    sites = {block: tuple(q // bits for q in block[::bits]) for block in blocks}
+    psi = PureState(n, vec) if undecided else None
+    for block in undecided:
         defect = 1.0 - marginal_purity(psi, block)
         if defect > tol:
             raise FactorizationError(
-                f"block {block} has purity defect {defect:.3e} > tol={tol:g} on the "
+                f"block {sites[block]} has purity defect {defect:.3e} > tol={tol:g} on the "
                 "input; the tolerance is numerically borderline for this state"
             )
-    return canonical_set_partition(blocks, n_qubits=psi.n_qubits), near
+    return canonical_set_partition(sites.values(), n_qubits=n // bits), near
 
 
 def finest_factorization(
     psi: PureState, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[int, ...], ...]:
     """Blocks of the finest tensor factorization, in canonical order."""
-    blocks, _ = _factorize(psi, tol)
-    return blocks
+    return _factorize(psi.vec, tol, 1)[0]
 
 
 def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
@@ -160,7 +167,7 @@ def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
 
 def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
     """Full classification: blocks, shape, index, and class label."""
-    blocks, near = _factorize(psi, tol)
+    blocks, near = _factorize(psi.vec, tol, 1)
     shape = shape_of(blocks)
     index = psi.n_qubits - len(blocks)
     label = LABEL_SEPARABLE if index == 0 else f"entangled class E={index}"
@@ -198,55 +205,21 @@ def ensemble_index(e: Ensemble, tol: float = DEFAULT_TOL) -> float:
     return total
 
 
-def _is_product_cut(rho: DensityMatrix, block: tuple[int, ...], tol: float) -> bool:
-    n, k = rho.n_qubits, len(block)
-    comp = [q for q in range(n) if q not in block]
-    # row (i, i') of m is rho_B's entry (i, i'), column (j, j') rho_rest's
-    axes = list(block) + [n + q for q in block] + comp + [n + q for q in comp]
-    m = rho.mat.reshape([2] * (2 * n)).transpose(axes).reshape(4**k, 4 ** (n - k))
-    rho_b = m @ np.eye(2 ** (n - k)).reshape(-1)
-    rho_rest = np.eye(2**k).reshape(-1) @ m
-    # a direct difference: the expanded norm cancels catastrophically at tol**2
-    return float(np.linalg.norm(m - np.outer(rho_b, rho_rest))) <= tol
-
-
-def _split_mixed(rho: DensityMatrix, tol: float) -> list[tuple[int, ...]]:
-    n = rho.n_qubits
-    # site q of vec(rho) is qubits 2q and 2q + 1: qubit q's row and column bits
-    axes = [a for q in range(n) for a in (q, n + q)]
-    vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).flatten()
-    vec /= np.linalg.norm(vec)
-    blocks = [tuple(sorted(q // 2 for q in block[::2])) for block in _peel(vec, tol, 2)[0]]
-    if len(blocks) == 1:
-        return blocks
-    if len(blocks) == 2:  # both blocks test the same cut
-        return blocks if _is_product_cut(rho, blocks[0], tol) else [tuple(range(n))]
-    kept = [b for b in blocks if _is_product_cut(rho, b, tol)]
-    if len(kept) == len(blocks):
-        return blocks
-    merged = tuple(sorted(q for b in blocks if b not in kept for q in b))
-    if kept and len(kept) + 1 < len(blocks) and _is_product_cut(rho, merged, tol):
-        return kept + [merged]
-    return [tuple(range(n))]
-
-
 def mixed_product_split(
     rho: DensityMatrix, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[int, ...], ...]:
     """Finest product splitting of a density matrix.
 
-    The Schmidt peel runs on vec(rho) / ||rho||_F as a state of N four-state
-    sites, site q holding qubit q's row and column bits, so its blocks are
-    blocks of qubits and nothing is merged.  The finest factorization of a
-    vector is unique and equals the finest split of rho, so for exact
-    products this gives the finest split of rho.  There ``tol`` bounds the
-    purity defect of each peel decision on the operator vector.  Each
-    resulting block B is then certified on the input: ||rho - rho_B (x)
-    rho_rest||_F <= ``tol``, with rho_rest the marginal on the other qubits.
-    The blocks that fail are merged into one, which must pass in turn, or the
-    whole register is one block; so every returned split passes the Frobenius
-    test.  Returns block structure only; whether a block is entangled is not
-    determined for mixed inputs.
+    rho = rho_A (x) rho_B exactly when vec(rho) / ||rho||_F, read as N
+    four-state sites holding qubit q's row and column bits, is a product
+    across A|B; so ``classify``'s peel and certification run on it unchanged,
+    ``tol`` bounds the same purity defect, and a block that fails
+    certification raises FactorizationError.  Returns block structure only;
+    whether a block is entangled is not determined for mixed inputs.
     """
-    blocks = _split_mixed(rho, _check_tol(tol))
-    return canonical_set_partition(blocks, n_qubits=rho.n_qubits)
+    n = rho.n_qubits
+    # site q of vec(rho) is qubits 2q and 2q + 1: qubit q's row and column bits
+    axes = [a for q in range(n) for a in (q, n + q)]
+    vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).flatten()
+    vec /= np.linalg.norm(vec)
+    return _factorize(vec, tol, 2)[0]

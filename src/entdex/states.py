@@ -41,7 +41,8 @@ def _density_side(n: int) -> int:
 
 
 def _unitary_defect(m: np.ndarray) -> np.ndarray:  # of one 2x2 matrix, or of each in a stack
-    return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2)).max(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge finite entries read inf or nan
+        return np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(2)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)

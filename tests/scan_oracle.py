@@ -1,19 +1,20 @@
 """Reference factorizations by exhaustive subset scan, kept as test oracles.
 
 Pure states: for each qubit i, the smallest subset containing i whose
-marginal is pure within tol is i's block.  Density matrices: split across the
-first bipartition, smallest subsets first, whose product of marginals is
-within tol of the input in Frobenius distance, and recurse on both sides.
-Both visit up to 2**N subsets, so they are only usable for small N; the
-library uses the Schmidt peel instead.
+marginal is pure within tol is i's block.  Density matrices: the same, with
+the purity of a marginal of vec(rho) read from the singular values sigma of
+rho realigned across the cut S | rest, Sum sigma^4 / (Sum sigma^2)^2, so
+that no library kernel is involved.  Both visit up to 2**N subsets, so they
+are only usable for small N; the library uses the Schmidt peel instead.
 """
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from entdex.classify import FactorizationError
 from entdex.partitions import canonical_set_partition
-from entdex.states import marginal_purity, partial_trace
+from entdex.states import marginal_purity
 
 
 def scan_minimal_block(n, i, tol, pur):
@@ -74,27 +75,19 @@ def scan_factorize(psi, tol):
     return validate_blocks(n, found), near
 
 
-def _split_mixed(rho, labels, tol):
-    n = rho.n_qubits
-    if n == 1:
-        return [labels]
-    for size in range(1, n):
-        for local in combinations(range(n), size):
-            comp = tuple(q for q in range(n) if q not in local)
-            part_a = partial_trace(rho, local)
-            part_b = partial_trace(rho, comp)
-            product = np.kron(part_a.mat, part_b.mat)
-            axes = list(local) + list(comp)
-            axes += [n + q for q in axes]
-            target = rho.mat.reshape([2] * (2 * n)).transpose(axes).reshape(2**n, 2**n)
-            if float(np.linalg.norm(target - product)) <= tol:
-                return _split_mixed(
-                    part_a, tuple(labels[q] for q in local), tol
-                ) + _split_mixed(part_b, tuple(labels[q] for q in comp), tol)
-    return [labels]
+def _realigned_purity(rho, subset):
+    """Purity of vec(rho)'s marginal on the row and column bits of ``subset``."""
+    n, k = rho.n_qubits, len(subset)
+    comp = [q for q in range(n) if q not in subset]
+    # row (i, i') of m is the subset's entry (i, i'), column (j, j') the rest's
+    axes = list(subset) + [n + q for q in subset] + comp + [n + q for q in comp]
+    m = rho.mat.reshape([2] * (2 * n)).transpose(axes).reshape(4**k, 4 ** (n - k))
+    s2 = np.linalg.svd(m, compute_uv=False) ** 2
+    return float(np.sum(s2**2) / np.sum(s2) ** 2)
 
 
 def scan_mixed_split(rho, tol):
-    """Product blocks of a density matrix, by recursive subset scan."""
-    blocks = _split_mixed(rho, tuple(range(rho.n_qubits)), tol)
-    return canonical_set_partition(blocks, n_qubits=rho.n_qubits)
+    """Product blocks of a density matrix, by subset scan per qubit."""
+    n = rho.n_qubits
+    pur = partial(_realigned_purity, rho)
+    return validate_blocks(n, [scan_minimal_block(n, i, tol, pur)[0] for i in range(n)])
