@@ -1,11 +1,13 @@
-"""CLI outputs stay byte-identical across commits.
+"""CLI outputs, and classify results near tol, stay byte-identical across commits.
 
 One SHA-256 per group of CLI runs is pinned in ``tests/digests.json``:
 
 - ``make`` state files, sidecars and stdout, plus ``classify --json``
   stdout, for all 66 partitions with N <= 8, LU-dressed and permuted;
 - the same for one partition each of N = 15 and N = 17;
-- ``verify --json`` stdout for three suite configurations.
+- ``verify --json`` stdout for three suite configurations;
+- the blocks, ``warning`` and ``FactorizationError`` text of ``classify``
+  on 300 seeded noisy products, where a decision may sit near ``tol``.
 
 An intended output change is recorded by running, from the repository root::
 
@@ -28,7 +30,10 @@ from unittest import mock
 import numpy as np
 
 from entdex import cli
+from entdex.classify import FactorizationError, classify
+from entdex.construct import ghz_product
 from entdex.partitions import enumerate_partitions
+from entdex.states import pure_state
 
 DIGESTS = Path(__file__).with_name("digests.json")
 RECORD_COMMAND = "PYTHONPATH=src python tests/test_digests.py --record"
@@ -60,6 +65,25 @@ def _make_and_classify(h, parts: tuple[int, ...], seed: int) -> None:
     h.update(_stdout("classify", "--json", "state.json"))
 
 
+def _noisy_products(h) -> None:
+    # N 1-9, LU-dressed and permuted, moved by 1e-6 to 3e-4 in a random direction
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        options = enumerate_partitions(n)
+        shape = options[int(rng.integers(len(options)))]
+        perm = [int(x) for x in rng.permutation(n)]
+        state, _ = ghz_product(shape, perm=perm, lu_seed=int(rng.integers(2**32)))
+        noise = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        eps = 10 ** rng.uniform(-6.0, np.log10(3e-4))
+        vec = state.vec + eps * noise / np.linalg.norm(noise)
+        try:
+            report = classify(pure_state(vec / np.linalg.norm(vec)))
+            h.update(repr((report.blocks, report.warning)).encode())
+        except FactorizationError as exc:
+            h.update(str(exc).encode())
+
+
 def compute_digests(workdir: Path) -> dict[str, str]:
     """Hex SHA-256 of each group of CLI outputs, with files written in ``workdir``."""
     digests = {}
@@ -78,6 +102,9 @@ def compute_digests(workdir: Path) -> dict[str, str]:
                 digests[f"make, classify --json: N = {sum(parts)}"] = h.hexdigest()
     finally:
         os.chdir(cwd)
+    h = hashlib.sha256()
+    _noisy_products(h)
+    digests["classify: 300 noisy dressed products"] = h.hexdigest()
     for args in VERIFY_RUNS:
         digests["verify --json " + " ".join(args)] = hashlib.sha256(
             _stdout("verify", "--json", *args)
