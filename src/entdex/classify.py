@@ -2,11 +2,11 @@
 
 Detection principle: for a globally pure state, the marginal on a subset S is
 itself pure exactly when S is a tensor factor, and the finest factorization
-into such factors is unique.  It is found by a Schmidt peel: one step per
-qubit, each splitting qubit 0 from the rest, so no subsets are enumerated;
-a step pays purity tests only when it leaves two or more candidate blocks.
-Blocks whose cut the peel decided only on a row are then certified by their
-marginal purity on the input.  The index is E = N - p for p blocks.
+into such factors is unique.  It is found by a Schmidt peel along nested
+views of the input, one level per qubit, so no subsets are enumerated; a
+level pays purity tests only when it leaves two or more candidate blocks.
+Blocks whose cut it decided only on a row are certified on the input, by
+one overlap bound or by marginal purity.  The index is E = N - p for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
 when the operator vector vec(rho), with qubit q's row and column bits as one
@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .partitions import as_partition, canonical_set_partition, index_of, shape_of
+from .partitions import as_partition, canonical_set_partition, index_of
 from .states import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -93,45 +93,85 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
+# allowance for rounding in 1 - F**2: 64 units of 2**-52 per qubit of the vector
+_ROUNDING_PER_QUBIT = 64 * 2.0**-52
+
+
+def _product_overlap(vec: np.ndarray, columns: list[np.ndarray], bits: int) -> float:
+    """F = |t|^2 / |vec|^2 for t, ``vec`` contracted on its leading sites with
+    unit vectors along ``columns``: its overlap with a product state.  By
+    Eckart-Young F <= sigma_1^2 across the cut of each of those sites and of
+    the rest, so each such cut has a purity defect of at most 1 - F^2."""
+    t = vec
+    for c in columns:
+        t = (c.conj() / np.linalg.norm(c)) @ t.reshape(2**bits, -1)
+    return float(np.vdot(t, t).real) / float(np.vdot(vec, vec).real)
+
+
 def _peel(
     vec: np.ndarray, tol: float, bits: int
 ) -> tuple[list[tuple[int, ...]], bool, list[tuple[int, ...]]]:
-    """Finest blocks of a normalized amplitude array, in its local qubit indices.
+    """Finest blocks of an amplitude array, in its qubit indices.
 
-    Sites of ``bits`` qubits each are never split.  A tensor factor that
-    leaves out site 0 is also a factor of each row of ``vec.reshape(2**bits,
-    -1)``, so every block of the heaviest row is either a block of ``vec`` or
-    a piece of site 0's block; only the former has a pure marginal on ``vec``.
-    A lone block is site 0's complement, whose marginal has the same defect,
-    so it needs no test.  Also reports whether any decision was near tol, and
-    the blocks whose cut was not decided on ``vec`` itself.
+    Sites of ``bits`` qubits each are never split.  Level 0 is ``vec`` and
+    level j + 1 the heaviest row of level j over site j, a contiguous view
+    of ``vec``.  Top-down, each level's Gram matrix gives the row weights,
+    site j's (scale-invariant) purity defect and the heavy row's column.
+    Bottom-up: a tensor factor of level j that leaves out site j is a factor
+    of each of its rows, so every block of level j + 1 is a block of level j
+    or a piece of site j's block; only the former has a pure marginal on
+    level j.  A lone block is site j's complement, of the same defect.
+
+    Also reports whether any decision was near tol, and the blocks whose
+    cut was not decided on ``vec``.  If levels 0..r-1 pass, one
+    ``_product_overlap`` may decide the cuts of sites 1..r-1 and the rest.
     """
     n = vec.size.bit_length() - 1
-    site = tuple(range(bits))
-    if n == bits:
-        return [site], False, []
-    rows = vec.reshape(2**bits, -1)
-    gram = rows @ rows.conj().T
-    weights = gram.diagonal().real.tolist()
-    k = weights.index(max(weights))
-    found, near, _ = _peel(rows[k] / math.sqrt(weights[k]), tol, bits)
-    rest = [tuple(q + bits for q in block) for block in found]
-    defect = 1.0 - float(np.vdot(gram, gram).real) / sum(weights) ** 2
-    if defect <= tol:
-        return [site] + rest, near, rest if len(rest) > 1 else []
-    defects = [defect]
-    if len(rest) > 1:
-        psi = PureState(n, vec)
-        defects = [1.0 - marginal_purity(psi, block) for block in rest]
-    near = near or any(tol < d <= 10.0 * tol for d in [defect, *defects])
-    head = site + tuple(q for block, d in zip(rest, defects) if d > tol for q in block)
-    kept = [block for block, d in zip(rest, defects) if d <= tol]
-    # beside a single kept block, the head's cut is that block's
-    return [head] + kept, near, [head] if len(kept) > 1 else []
+    levels, view = [], vec
+    for _ in range(n // bits - 1):
+        rows = view.reshape(2**bits, -1)
+        gram = rows @ rows.conj().T
+        weights = gram.diagonal().real.tolist()
+        k = weights.index(max(weights))
+        total = sum(weights)
+        levels.append((view, total, 1.0 - float(np.vdot(gram, gram).real) / total**2, gram[:, k]))
+        view = rows[k]
+    found, near = [tuple(range(n - bits, n))], False
+    for j in reversed(range(len(levels))):
+        view, total, defect, _ = levels[j]
+        site = tuple(range(j * bits, j * bits + bits))
+        if defect <= tol:
+            found = [site] + found
+            continue
+        defects = [defect]
+        if len(found) > 1:
+            psi = PureState(n - j * bits, view / math.sqrt(total) if j else view)
+            defects = [1.0 - marginal_purity(psi, [q - j * bits for q in b]) for b in found]
+        near = near or tol < defect <= 10.0 * tol
+        head, kept = site, []
+        for block, d in zip(found, defects):
+            near = near or tol < d <= 10.0 * tol
+            if d > tol:
+                head += block
+            else:
+                kept.append(block)
+        found = [head] + kept
+    # two blocks have one cut, which level 0 decided on vec itself
+    if len(found) <= 2:
+        return found, near, []
+    run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
+    undecided = found[1:] if run else found[:1]
+    if run > 1:
+        overlap = _product_overlap(vec, [column for *_, column in levels[:run]], bits)
+        if 1.0 - overlap**2 + _ROUNDING_PER_QUBIT * n <= tol:
+            certified = {*found[:run], tuple(range(run * bits, n))}
+            undecided = [block for block in undecided if block not in certified]
+    return found, near, undecided
 
 
 def _factorize(vec: np.ndarray, tol: float, bits: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Certified finest blocks of a normalized vector, in sites of ``bits`` qubits; near flag."""
+    """Certified finest blocks of a normalized vector, in sites of ``bits`` qubits; near flag.
+    A block ``_peel`` left undecided is tested by its marginal purity on ``vec``."""
     tol = _check_tol(tol)
     n = vec.size.bit_length() - 1
     blocks, near, undecided = _peel(vec, tol, bits)
@@ -168,7 +208,7 @@ def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
 def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
     """Full classification: blocks, shape, index, and class label."""
     blocks, near = _factorize(psi.vec, tol, 1)
-    shape = shape_of(blocks)
+    shape = tuple(sorted(map(len, blocks), reverse=True))
     index = psi.n_qubits - len(blocks)
     label = LABEL_SEPARABLE if index == 0 else f"entangled class E={index}"
     warning = (

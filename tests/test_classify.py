@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -321,6 +322,15 @@ def repeated_cuts(calls, n):
     return repeats
 
 
+def perturbed(draw, state, low, high):
+    """``state`` moved by 10**low to 10**high in a random direction, renormalized."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.normal(size=state.dim) + 1j * rng.normal(size=state.dim)
+    eps = 10 ** draw(st.floats(low, high))
+    vec = state.vec + eps * noise / np.linalg.norm(noise)
+    return pure_state(vec / np.linalg.norm(vec))
+
+
 @st.composite
 def noisy_dressed_products(draw):
     """Permuted, LU-dressed GHZ products, N <= 7, perturbed by 1e-6 to 3e-4."""
@@ -328,11 +338,28 @@ def noisy_dressed_products(draw):
     shape = draw(st.sampled_from(enumerate_partitions(n)))
     perm = draw(st.permutations(range(n)))
     state, _ = ghz_product(shape, perm=perm, lu_seed=draw(st.integers(0, 2**32 - 1)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    noise = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    eps = 10 ** draw(st.floats(-6.0, math.log10(3e-4)))
-    vec = state.vec + eps * noise / np.linalg.norm(noise)
-    return pure_state(vec / np.linalg.norm(vec))
+    return perturbed(draw, state, -6.0, math.log10(3e-4))
+
+
+@st.composite
+def noisy_products_with_separable_head(draw):
+    """Noisy LU-dressed products, N 2-9, whose first 2 or more qubits are
+    single-qubit blocks, perturbed by 1e-5 to 1e-4: their cuts read defects
+    of about 1e-10 to 1e-8, so where the leading levels of the peel pass,
+    its overlap bound lands on both sides of tol=1e-9."""
+    n = draw(st.integers(2, 9))
+    head = draw(st.integers(2, n))
+    shape = (draw(st.sampled_from(enumerate_partitions(n - head))) if head < n else ()) + (1,) * head
+    # the layout puts the single-qubit blocks last; rotate them to the front
+    perm = [(q + head) % n for q in range(n)]
+    state, _ = ghz_product(shape, perm=perm, lu_seed=draw(st.integers(0, 2**32 - 1)))
+    return perturbed(draw, state, -5.0, -4.0)
+
+
+# purity calls of classify on the classify-large benchmark shapes: GHZ_N,
+# (ceil(N/2), floor(N/2)), (N-1, 1) and N single qubits, at lu_seed=7 with
+# the qubits permuted by default_rng(N)
+CLASSIFY_LARGE_CALLS = {9: (0, 12, 2, 0), 10: (0, 14, 16, 0), 11: (0, 18, 0, 0), 12: (0, 20, 16, 0)}
 
 
 class TestKernelWork:
@@ -358,6 +385,47 @@ class TestKernelWork:
         state, blocks = ghz_product([20], lu_seed=seed, max_qubits=20)
         assert finest_factorization(state) == blocks
         assert len(kernel_calls) <= 20 // 2
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_dressed_separable_needs_no_kernel(self, kernel_calls, n):
+        # every level passes, and one overlap bound certifies every qubit's cut
+        state, blocks = ghz_product((1,) * n, lu_seed=n, max_qubits=20)
+        assert classify(state).blocks == blocks
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("n", sorted(CLASSIFY_LARGE_CALLS))
+    def test_classify_large_shapes_are_gated(self, kernel_calls, n):
+        shapes = [(n,), (n - n // 2, n // 2), (n - 1, 1), (1,) * n]
+        perm = [int(x) for x in np.random.default_rng(n).permutation(n)]
+        for shape, limit in zip(shapes, CLASSIFY_LARGE_CALLS[n]):
+            state, blocks = ghz_product(shape, perm=perm, lu_seed=7)
+            kernel_calls.clear()
+            assert classify(state).blocks == blocks
+            assert len(kernel_calls) <= limit, shape
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(noisy_products_with_separable_head())
+    def test_overlap_bound_holds_on_the_input(self, psi):
+        # F bounds sigma_1^2 across the cut of each qubit of the passing run,
+        # and of the rest; so each of those cuts has defect <= 1 - F^2
+        module = sys.modules["entdex.classify"]
+        inner, bounds = module._product_overlap, []
+
+        def recorded(vec, columns, bits):
+            overlap = inner(vec, columns, bits)
+            bounds.append((len(columns), 1.0 - overlap**2))
+            return overlap
+
+        with mock.patch.object(module, "_product_overlap", recorded):
+            try:
+                classify(psi)
+            except FactorizationError:
+                pass
+        n = psi.n_qubits
+        allowance = module._ROUNDING_PER_QUBIT * n
+        for run, bound in bounds:
+            for cut in [(q,) for q in range(run)] + [tuple(range(run, n))]:
+                assert 1.0 - marginal_purity(psi, cut) <= bound + allowance, cut
 
     def test_two_blocks_are_certified_once(self, kernel_calls):
         # the input is the only n-qubit state the kernel sees; the peel's top

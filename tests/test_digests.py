@@ -1,6 +1,6 @@
 """CLI outputs, and classify results near tol, stay byte-identical across commits.
 
-One SHA-256 per group of CLI runs is pinned in ``tests/digests.json``:
+One SHA-256 per group of runs is pinned in ``tests/digests.json``:
 
 - ``make`` state files, sidecars and stdout, plus ``classify --json``
   stdout, for all 66 partitions with N <= 8, LU-dressed and permuted;
