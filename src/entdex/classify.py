@@ -5,8 +5,9 @@ itself pure exactly when S is a tensor factor, and the finest factorization
 into such factors is unique.  It is found by a Schmidt peel along nested
 views of the input, one level per qubit, so no subsets are enumerated; a
 level pays purity tests only when it leaves two or more candidate blocks.
-Blocks whose cut it decided only on a row are certified on the input, by
-one overlap bound or by marginal purity.  The index is E = N - p for p blocks.
+Blocks whose cut it decided only on a row are certified on the caller's
+state, read in place, by one overlap bound or by marginal purity.  The
+index is E = N - p for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
 when the operator vector vec(rho), with qubit q's row and column bits as one
@@ -25,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .partitions import as_partition, canonical_set_partition, index_of
+from .partitions import as_partition, index_of
 from .states import (
     DEFAULT_TOL,
     DensityMatrix,
@@ -108,26 +109,28 @@ def _product_overlap(vec: np.ndarray, columns: list[np.ndarray], bits: int) -> f
     return float(np.vdot(t, t).real) / float(np.vdot(vec, vec).real)
 
 
-def _peel(
-    vec: np.ndarray, tol: float, bits: int
-) -> tuple[list[tuple[int, ...]], bool, list[tuple[int, ...]]]:
-    """Finest blocks of an amplitude array, in its qubit indices.
+def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """Certified finest blocks of ``psi`` in canonical order, in sites of
+    ``bits`` qubits, and whether any decision was near tol.
 
-    Sites of ``bits`` qubits each are never split.  Level 0 is ``vec`` and
-    level j + 1 the heaviest row of level j over site j, a contiguous view
-    of ``vec``.  Top-down, each level's Gram matrix gives the row weights,
-    site j's (scale-invariant) purity defect and the heavy row's column.
-    Bottom-up: a tensor factor of level j that leaves out site j is a factor
-    of each of its rows, so every block of level j + 1 is a block of level j
-    or a piece of site j's block; only the former has a pure marginal on
-    level j.  A lone block is site j's complement, of the same defect.
+    Sites are never split.  Level 0 is ``psi.vec`` and level j + 1 the
+    heaviest row of level j over site j, a contiguous view of the input.
+    Top-down, each level's Gram matrix gives the row weights, site j's
+    (scale-invariant) purity defect and the heavy row's column.  Bottom-up: a
+    tensor factor of level j that leaves out site j is a factor of each of
+    its rows, so every block of level j + 1 is a block of level j or a piece
+    of site j's block; only the former has a pure marginal on level j.  A
+    lone block is site j's complement, of the same defect.
 
-    Also reports whether any decision was near tol, and the blocks whose
-    cut was not decided on ``vec``.  If levels 0..r-1 pass, one
-    ``_product_overlap`` may decide the cuts of sites 1..r-1 and the rest.
+    Level 0 tests its cuts on ``psi`` itself, which is never copied.  A block
+    whose cut only a row decided is certified on ``psi``: if levels 0..r-1
+    pass, one ``_product_overlap`` may decide the cuts of sites 1..r-1 and
+    the rest; any other is tested by its marginal purity, and a defect above
+    tol raises FactorizationError.
     """
-    n = vec.size.bit_length() - 1
-    levels, view = [], vec
+    tol = _check_tol(tol)
+    n = psi.n_qubits
+    levels, view = [], psi.vec
     for _ in range(n // bits - 1):
         rows = view.reshape(2**bits, -1)
         gram = rows @ rows.conj().T
@@ -145,8 +148,8 @@ def _peel(
             continue
         defects = [defect]
         if len(found) > 1:
-            psi = PureState(n - j * bits, view / math.sqrt(total) if j else view)
-            defects = [1.0 - marginal_purity(psi, [q - j * bits for q in b]) for b in found]
+            level = PureState(n - j * bits, view / math.sqrt(total)) if j else psi
+            defects = [1.0 - marginal_purity(level, [q - j * bits for q in b]) for b in found]
         near = near or tol < defect <= 10.0 * tol
         head, kept = site, []
         for block, d in zip(found, defects):
@@ -156,42 +159,31 @@ def _peel(
             else:
                 kept.append(block)
         found = [head] + kept
-    # two blocks have one cut, which level 0 decided on vec itself
-    if len(found) <= 2:
-        return found, near, []
-    run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
-    undecided = found[1:] if run else found[:1]
-    if run > 1:
-        overlap = _product_overlap(vec, [column for *_, column in levels[:run]], bits)
-        if 1.0 - overlap**2 + _ROUNDING_PER_QUBIT * n <= tol:
-            certified = {*found[:run], tuple(range(run * bits, n))}
-            undecided = [block for block in undecided if block not in certified]
-    return found, near, undecided
-
-
-def _factorize(vec: np.ndarray, tol: float, bits: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Certified finest blocks of a normalized vector, in sites of ``bits`` qubits; near flag.
-    A block ``_peel`` left undecided is tested by its marginal purity on ``vec``."""
-    tol = _check_tol(tol)
-    n = vec.size.bit_length() - 1
-    blocks, near, undecided = _peel(vec, tol, bits)
-    sites = {block: tuple(q // bits for q in block[::bits]) for block in blocks}
-    psi = PureState(n, vec) if undecided else None
-    for block in undecided:
-        defect = 1.0 - marginal_purity(psi, block)
-        if defect > tol:
-            raise FactorizationError(
-                f"block {sites[block]} has purity defect {defect:.3e} > tol={tol:g} on the "
-                "input; the tolerance is numerically borderline for this state"
-            )
-    return canonical_set_partition(sites.values(), n_qubits=n // bits), near
+    # two blocks have one cut, which level 0 decided on psi itself
+    if len(found) > 2:
+        run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
+        undecided = found[1:] if run else found[:1]
+        if run > 1:
+            overlap = _product_overlap(psi.vec, [column for *_, column in levels[:run]], bits)
+            if 1.0 - overlap**2 + _ROUNDING_PER_QUBIT * n <= tol:
+                certified = {*found[:run], tuple(range(run * bits, n))}
+                undecided = [block for block in undecided if block not in certified]
+        for block in undecided:
+            defect = 1.0 - marginal_purity(psi, block)
+            if defect > tol:
+                raise FactorizationError(
+                    f"block {tuple(q // bits for q in block[::bits])} has purity defect "
+                    f"{defect:.3e} > tol={tol:g} on the input; the tolerance is "
+                    "numerically borderline for this state"
+                )
+    return tuple(sorted(tuple(sorted(q // bits for q in b[::bits])) for b in found)), near
 
 
 def finest_factorization(
     psi: PureState, tol: float = DEFAULT_TOL
 ) -> tuple[tuple[int, ...], ...]:
     """Blocks of the finest tensor factorization, in canonical order."""
-    return _factorize(psi.vec, tol, 1)[0]
+    return _factorize(psi, tol, 1)[0]
 
 
 def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
@@ -207,7 +199,7 @@ def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
 
 def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
     """Full classification: blocks, shape, index, and class label."""
-    blocks, near = _factorize(psi.vec, tol, 1)
+    blocks, near = _factorize(psi, tol, 1)
     shape = tuple(sorted(map(len, blocks), reverse=True))
     index = psi.n_qubits - len(blocks)
     label = LABEL_SEPARABLE if index == 0 else f"entangled class E={index}"
@@ -262,4 +254,6 @@ def mixed_product_split(
     axes = [a for q in range(n) for a in (q, n + q)]
     vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).flatten()
     vec /= np.linalg.norm(vec)
-    return _factorize(vec, tol, 2)[0]
+    psi = PureState(2 * n, vec)
+    del vec  # PureState holds a copy; the peel must not keep both
+    return _factorize(psi, tol, 2)[0]

@@ -99,8 +99,8 @@ def _load_json(path: str | Path) -> Any:
 
 def _parse_header(doc: Any, kind: str, max_qubits: int, where: str) -> int:
     _require(isinstance(doc, dict), f"{where}: {kind} must be a JSON object")
-    if "format_version" in doc:
-        _require(doc["format_version"] == FORMAT_VERSION, f"{where}: unsupported format_version")
+    version = doc.get("format_version", FORMAT_VERSION)
+    _require(type(version) is int and version == FORMAT_VERSION, f"{where}: unsupported format_version")
     n = doc.get("n")
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"{where}: n must be a positive integer")
     _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")

@@ -90,9 +90,14 @@ def random_local_unitary(n: int, seed: int | np.random.Generator) -> LocalUnitar
     order), which callers use to derive dressings from one master stream.
     One ``rng.random((n, 3))`` draw gives the uniforms of n draws of three,
     so a seed keeps its matrices and dressed state files keep their bytes.
+    A seed that is not a Generator follows the integer rule and must be
+    non-negative.
     """
     n = integer(n, 1, "qubit count must be a positive integer, got {!r}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(integer(seed, 0, "seed must be a non-negative integer, got {!r}"))
     return LocalUnitary(tuple(_one_qubit_unitary(*row) for row in rng.random((n, 3)).tolist()))
 
 

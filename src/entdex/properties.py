@@ -194,7 +194,7 @@ def run_property_suite(
     trials = integer(trials, 1, "trials must be a positive integer, got {}")
     cap = max(DEFAULT_MAX_QUBITS, max_n)
     limit = DEFAULT_TOL if property_id == 3 else 0.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, 0, "seed must be a non-negative integer, got {!r}"))
     failures: list[str] = []
     cases = 0
     max_dev = 0.0

@@ -162,7 +162,7 @@ def density_matrix(entries: Sequence[Sequence[complex]] | np.ndarray) -> Density
 def integer(value: object, low: float, message: str) -> int:
     """``value`` through ``operator.index``, unless it is a bool or below ``low``:
     then, or for a non-integer, ``ValueError(message.format(value))``.  The one
-    integer rule: a count, width, part, bit or index of 2.9 is refused, never truncated."""
+    integer rule: a count, width, part, bit, index or seed of 2.9 is refused, never truncated."""
     try:
         n = operator.index(value)
     except TypeError:

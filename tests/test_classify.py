@@ -427,9 +427,39 @@ class TestKernelWork:
             for cut in [(q,) for q in range(run)] + [tuple(range(run, n))]:
                 assert 1.0 - marginal_purity(psi, cut) <= bound + allowance, cut
 
+    def test_input_is_read_in_place(self, kernel_calls):
+        # the peel's top level and certification both test cuts on the
+        # caller's state itself, never on a copy of it
+        rng = np.random.default_rng(47)
+        tested = 0
+        for n in range(2, 10):
+            for shape in enumerate_partitions(n):
+                perm = [int(x) for x in rng.permutation(n)]
+                state, _ = ghz_product(shape, perm=perm, lu_seed=int(rng.integers(2**32)))
+                kernel_calls.clear()
+                classify(state)
+                on_input = [psi for psi, _ in kernel_calls if psi.n_qubits == n]
+                assert all(psi is state for psi in on_input), (shape, perm)
+                tested += len(on_input)
+        assert tested > 0
+
+    @pytest.mark.parametrize("shape, limit", [((6, 6), 2.36), ((7, 5), 3.11), ((4, 3, 3, 2), 2.13)])
+    def test_peak_memory_is_gated(self, shape, limit):
+        # the input is read in place; the peak is a cut tested on it: the
+        # kernel's reordered copy, its conjugate and their Gram matrix (as
+        # large as the input across a 6|6 cut).  A copy of the input adds 1.0
+        state, blocks = ghz_product(shape, lu_seed=3)
+        tracemalloc.start()
+        try:
+            assert classify(state).blocks == blocks
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * state.vec.nbytes
+
     def test_two_blocks_are_certified_once(self, kernel_calls):
-        # the input is the only n-qubit state the kernel sees; the peel's top
-        # level decides the one cut on it, so certification tests no cut again
+        # the kernel sees the input itself at n qubits; the peel's top level
+        # decides the one cut on it, so certification tests no cut again
         rng = np.random.default_rng(43)
         for n in range(2, 11):
             for shape in [s for s in enumerate_partitions(n) if len(s) == 2]:
@@ -657,11 +687,11 @@ class TestMixedWork:
         assert len(kernel_calls) <= 12
         assert repeated_cuts(kernel_calls, 16) == 0
 
-    @pytest.mark.parametrize("shape, limit", [((10,), 2.01), ((5, 5), 4.07), ((4, 3, 3), 4.07)])
+    @pytest.mark.parametrize("shape, limit", [((10,), 2.01), ((5, 5), 3.07), ((4, 3, 3), 3.07)])
     def test_peak_memory_is_gated(self, shape, limit):
-        # vec(rho) and the conjugate its Gram matrix takes; a cut tested on
-        # vec(rho) adds a PureState copy and the kernel's reordered copy and
-        # its conjugate.  One more full-size temporary adds 1.0 to the ratio
+        # vec(rho) and its PureState copy, then the copy and the conjugate its
+        # Gram matrix takes; a cut tested on the copy adds the kernel's
+        # conjugate.  One more full-size temporary adds 1.0 to the ratio
         state, blocks = ghz_product(shape, lu_seed=3)
         rho = to_density(state)
         tracemalloc.start()

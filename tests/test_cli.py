@@ -193,9 +193,11 @@ class TestClassifyErrors:
         assert rc == 1
 
     def test_unsupported_format_version(self, capsys, tmp_path):
-        p = write_state(tmp_path / "fv.json", [1.0, 0.0], format_version=2)
-        rc, _, _ = run(capsys, "classify", str(p))
-        assert rc == 1
+        # like n, the version is an exact integer: true and 1.0 equal 1 but are refused
+        for version in (2, True, 1.0):
+            p = write_state(tmp_path / "fv.json", [1.0, 0.0], format_version=version)
+            rc, _, err = run(capsys, "classify", str(p))
+            assert rc == 1 and "unsupported format_version" in err, version
 
     def test_norm_warn_band_renormalizes(self, capsys, tmp_path):
         scale = 1.0 + 5e-4  # defect within (1e-6, 1e-3]: warn and proceed

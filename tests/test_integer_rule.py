@@ -1,4 +1,4 @@
-"""One integer rule for every count, width, part, bit and index.
+"""One integer rule for every count, width, part, bit, index and seed.
 
 Every entry point takes its integers through ``states.integer``: a bool or a
 non-integer is refused with a ValueError that names it, never truncated, and
@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from entdex import cli
 from entdex.classify import Ensemble
 from entdex.construct import basis_state, ghz, ghz_product, random_local_unitary
 from entdex.partitions import (
@@ -46,6 +47,12 @@ from entdex.states import DensityMatrix, PureState, integer
         pytest.param(lambda: DensityMatrix(True, np.eye(2) / 2), True, id="DensityMatrix(True, ...)"),
         pytest.param(lambda: ghz(2.0), 2.0, id="ghz(2.0)"),
         pytest.param(lambda: random_local_unitary(2.5, 1), 2.5, id="random_local_unitary(2.5, 1)"),
+        pytest.param(lambda: random_local_unitary(2, -1), -1, id="random_local_unitary(2, -1)"),
+        pytest.param(lambda: ghz_product([2], lu_seed=True), True, id="ghz_product([2], lu_seed=True)"),
+        pytest.param(lambda: ghz_product([2], lu_seed=2.9), 2.9, id="ghz_product([2], lu_seed=2.9)"),
+        pytest.param(lambda: run_property_suite(1, seed=2.5), 2.5, id="run_property_suite(1, seed=2.5)"),
+        pytest.param(lambda: run_property_suite(1, seed=True), True, id="run_property_suite(1, seed=True)"),
+        pytest.param(lambda: run_property_suite(1, seed=-1), -1, id="run_property_suite(1, seed=-1)"),
         pytest.param(lambda: enumerate_partitions(4.0), 4.0, id="enumerate_partitions(4.0)"),
         pytest.param(lambda: partition_count(True), True, id="partition_count(True)"),
     ],
@@ -73,6 +80,20 @@ def test_numpy_integers_pass_as_python_ints():
     assert ghz_epr_arithmetic(np.int64(3)) == ghz_epr_arithmetic(3)
     dressed = ghz_product(np.array([2, 1]), perm=np.array([2, 0, 1]), lu_seed=np.int64(4))
     assert dressed.blocks == ((0, 2), (1,)) and all(type(q) is int for b in dressed.blocks for q in b)
+
+
+def test_seeds_keep_their_matrices():
+    # an integer seed, a NumPy integer and a Generator from that seed draw alike
+    expected = random_local_unitary(3, 5).matrices
+    for seed in (np.int64(5), np.random.default_rng(5)):
+        assert all(np.array_equal(a, b) for a, b in zip(random_local_unitary(3, seed).matrices, expected))
+
+
+def test_cli_names_a_negative_seed(capsys, tmp_path):
+    rc = cli.main(["make", "--partition", "2", "--lu-seed", "-1", "-o", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_integers_out_of_range_stay_refused():
