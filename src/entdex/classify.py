@@ -4,10 +4,14 @@ Detection principle: for a globally pure state, the marginal on a subset S is
 itself pure exactly when S is a tensor factor, and the finest factorization
 into such factors is unique.  It is found by a Schmidt peel along nested
 views of the input, one level per qubit, so no subsets are enumerated; a
-level pays purity tests only when it leaves two or more candidate blocks.
+level pays cut tests only when it leaves two or more candidate blocks.
 Blocks whose cut it decided only on a row are certified on the caller's
-state, read in place, by one overlap bound or by marginal purity.  The
-index is E = N - p for p blocks.
+state, read in place, by one overlap bound or by a cut test.  A cut with 6
+qubits or more on each side is decided in O(2^N) between a lower bound
+(Cauchy interlacing) and an upper bound (Eckart-Young) on its defect; only
+a defect between them, or a narrower cut, pays the exact marginal purity,
+about 2^(N + k) work for a smaller side of k qubits.  The index is E = N - p
+for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
 when the operator vector vec(rho), with qubit q's row and column bits as one
@@ -21,6 +25,7 @@ entangles it.  A failed certification raises FactorizationError on both paths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -71,6 +76,8 @@ class Ensemble:
         norm_terms = []
         total = 0.0
         for prob, payload in self.terms:
+            if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
+                raise ValueError(f"probability {prob!r} is not a real number")
             prob = float(prob)
             if not 0.0 < prob <= 1.0:
                 raise ValueError(f"probabilities must lie in (0, 1], got {prob}")
@@ -94,7 +101,7 @@ def _check_tol(tol: float) -> float:
     return float(tol)
 
 
-# allowance for rounding in 1 - F**2: 64 units of 2**-52 per qubit of the vector
+# allowance for rounding in a bound on a defect: 64 units of 2**-52 per qubit of the vector
 _ROUNDING_PER_QUBIT = 64 * 2.0**-52
 
 
@@ -107,6 +114,42 @@ def _product_overlap(vec: np.ndarray, columns: list[np.ndarray], bits: int) -> f
     for c in columns:
         t = (c.conj() / np.linalg.norm(c)) @ t.reshape(2**bits, -1)
     return float(np.vdot(t, t).real) / float(np.vdot(vec, vec).real)
+
+
+# the bounds decide cuts whose smaller side has at least this many qubits;
+# below it the exact Gram matrix costs less than the bounds' numpy calls
+_BOUND_SIDE = 6
+
+
+def _cut_bounds(view: np.ndarray, keep: list[int]) -> tuple[float, float]:
+    """(lower, upper) bounds on the purity defect of the cut ``keep`` | rest of
+    ``view`` (any norm), in O(len(view)) work on one reordered (side, rest)
+    copy m.  With row weights w, the heaviest row k and c = m m_k^H: the 2x2
+    Gram matrix of row k and of the row farthest from it is a principal
+    submatrix of m m^H, so by Cauchy interlacing its smaller eigenvalue over
+    sum(w) is at most p_2 <= 1 - p_1 <= 1 - sum(p^2).  Row k after one power
+    step, v = c^H m, gives F = |m v|^2 / (|v|^2 sum(w)) <= p_1, so by
+    Eckart-Young the defect is at most 1 - F^2."""
+    n = view.size.bit_length() - 1
+    other = [q for q in range(n) if q not in keep]
+    side, rest = (keep, other) if len(keep) <= len(other) else (other, keep)
+    m = view.reshape([2] * n).transpose(*side, *rest).reshape(2 ** len(side), -1)
+    m = np.ascontiguousarray(m)  # the reshape may be a strided view
+    flat = m.view(np.float64)
+    w = np.einsum("ij,ij->i", flat, flat)
+    k = int(w.argmax())
+    c = m @ m[k].conj()
+    c2 = c.real**2 + c.imag**2
+    far = w - c2 / w[k]  # each row's squared distance from row k's span
+    i = int(far.argmax())
+    total = float(w.sum())
+    # the smaller eigenvalue as determinant over the larger, which does not cancel
+    low = w[k] * far[i] / ((w[k] + w[i]) / 2 + math.hypot((w[k] - w[i]) / 2, math.sqrt(c2[i])))
+    low = float(low) / total
+    v = c.conj() @ m
+    t = m @ v.conj()
+    overlap = float(np.vdot(t, t).real) / (float(np.vdot(v, v).real) * total)
+    return low, 1.0 - overlap**2
 
 
 def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
@@ -122,14 +165,20 @@ def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, 
     of site j's block; only the former has a pure marginal on level j.  A
     lone block is site j's complement, of the same defect.
 
-    Level 0 tests its cuts on ``psi`` itself, which is never copied.  A block
-    whose cut only a row decided is certified on ``psi``: if levels 0..r-1
-    pass, one ``_product_overlap`` may decide the cuts of sites 1..r-1 and
-    the rest; any other is tested by its marginal purity, and a defect above
-    tol raises FactorizationError.
+    Level 0 tests its cuts on ``psi`` itself, which is never copied.  A cut
+    with ``_BOUND_SIDE`` qubits or more on each side is first given to
+    ``_cut_bounds``: it passes if the upper bound is within tol, and is
+    rejected, not near, if the lower bound exceeds 10 tol, both with the
+    rounding allowance; in between, and for a narrower cut, marginal purity
+    decides it on ``psi`` at level 0, or on the normalized slice at j > 0.
+    A block whose cut only a row decided is certified on ``psi``: if levels
+    0..r-1 pass, one ``_product_overlap`` may decide the cuts of sites
+    1..r-1 and the rest; any other passes on the upper bound or is tested by
+    its marginal purity, and a defect above tol raises FactorizationError.
     """
     tol = _check_tol(tol)
     n = psi.n_qubits
+    allowance = _ROUNDING_PER_QUBIT * n
     levels, view = [], psi.vec
     for _ in range(n // bits - 1):
         rows = view.reshape(2**bits, -1)
@@ -148,8 +197,20 @@ def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, 
             continue
         defects = [defect]
         if len(found) > 1:
-            level = PureState(n - j * bits, view / math.sqrt(total)) if j else psi
-            defects = [1.0 - marginal_purity(level, [q - j * bits for q in b]) for b in found]
+            width, level, defects = n - j * bits, None if j else psi, []
+            for block in found:
+                keep, d = [q - j * bits for q in block], None
+                if min(len(block), width - len(block)) >= _BOUND_SIDE:
+                    low, high = _cut_bounds(view, keep)
+                    if high + allowance <= tol:
+                        d = high + allowance
+                    elif low - allowance > 10.0 * tol:
+                        d = low - allowance
+                if d is None:
+                    if level is None:
+                        level = PureState(width, view / math.sqrt(total))
+                    d = 1.0 - marginal_purity(level, keep)
+                defects.append(d)
         near = near or tol < defect <= 10.0 * tol
         head, kept = site, []
         for block, d in zip(found, defects):
@@ -165,10 +226,13 @@ def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, 
         undecided = found[1:] if run else found[:1]
         if run > 1:
             overlap = _product_overlap(psi.vec, [column for *_, column in levels[:run]], bits)
-            if 1.0 - overlap**2 + _ROUNDING_PER_QUBIT * n <= tol:
+            if 1.0 - overlap**2 + allowance <= tol:
                 certified = {*found[:run], tuple(range(run * bits, n))}
                 undecided = [block for block in undecided if block not in certified]
         for block in undecided:
+            if (min(len(block), n - len(block)) >= _BOUND_SIDE
+                    and _cut_bounds(psi.vec, list(block))[1] + allowance <= tol):
+                continue
             defect = 1.0 - marginal_purity(psi, block)
             if defect > tol:
                 raise FactorizationError(
