@@ -7,7 +7,11 @@ One SHA-256 per group of runs is pinned in ``tests/digests.json``:
 - the same for one partition each of N = 15 and N = 17;
 - ``verify --json`` stdout for three suite configurations;
 - the blocks, ``warning`` and ``FactorizationError`` text of ``classify``
-  on 300 seeded noisy products, where a decision may sit near ``tol``.
+  on 300 seeded noisy products, where a decision may sit near ``tol``;
+- the blocks or ``FactorizationError`` text of ``mixed_product_split`` at
+  ``tol`` 1e-9 and 1e-7 on 200 seeded mixed products, most of them noisy.
+  ``tol`` = 0 is left out: there the split of an exact product is decided
+  by the rounding of its last bits.
 
 An intended output change is recorded by running, from the repository root::
 
@@ -30,10 +34,11 @@ from unittest import mock
 import numpy as np
 
 from entdex import cli
-from entdex.classify import FactorizationError, classify
+from entdex.classify import FactorizationError, classify, mixed_product_split
 from entdex.construct import ghz_product
 from entdex.partitions import enumerate_partitions
-from entdex.states import pure_state
+from entdex.states import density_matrix, pure_state, to_density
+from test_classify import mixed_towards_full_rank, permute_density, random_mixed_block
 
 DIGESTS = Path(__file__).with_name("digests.json")
 RECORD_COMMAND = "PYTHONPATH=src python tests/test_digests.py --record"
@@ -84,6 +89,34 @@ def _noisy_products(h) -> None:
             h.update(str(exc).encode())
 
 
+def _noisy_mixed_products(h) -> None:
+    # N 2-8, blocks of random rank 1-3, maximally mixed or dressed GHZ, permuted;
+    # two of three moved by 1e-6 to 3e-4 towards a random full-rank state
+    rng = np.random.default_rng(2026)
+    for i in range(200):
+        n = int(rng.integers(2, 9))
+        mat, left = np.ones((1, 1)), n
+        while left:
+            width = int(rng.integers(1, left + 1))
+            left -= width
+            kind = int(rng.integers(3))
+            if kind == 0:
+                block = random_mixed_block(rng, width)
+            elif kind == 1:
+                block = np.eye(2**width) / 2**width
+            else:
+                block = to_density(ghz_product([width], lu_seed=int(rng.integers(2**32)))[0]).mat
+            mat = np.kron(mat, block)
+        if i % 3:
+            mat = mixed_towards_full_rank(rng, mat, 10 ** rng.uniform(-6.0, np.log10(3e-4)))
+        rho = density_matrix(permute_density(mat, [int(x) for x in rng.permutation(n)]))
+        for tol in (1e-9, 1e-7):
+            try:
+                h.update(repr(mixed_product_split(rho, tol)).encode())
+            except FactorizationError as exc:
+                h.update(str(exc).encode())
+
+
 def compute_digests(workdir: Path) -> dict[str, str]:
     """Hex SHA-256 of each group of CLI outputs, with files written in ``workdir``."""
     digests = {}
@@ -105,6 +138,9 @@ def compute_digests(workdir: Path) -> dict[str, str]:
     h = hashlib.sha256()
     _noisy_products(h)
     digests["classify: 300 noisy dressed products"] = h.hexdigest()
+    h = hashlib.sha256()
+    _noisy_mixed_products(h)
+    digests["mixed_product_split: 200 mixed products at tol 1e-9, 1e-7"] = h.hexdigest()
     for args in VERIFY_RUNS:
         digests["verify --json " + " ".join(args)] = hashlib.sha256(
             _stdout("verify", "--json", *args)
