@@ -14,13 +14,13 @@ about 2^(N + k) work for a smaller side of k qubits.  The index is E = N - p
 for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
-when the operator vector vec(rho), with qubit q's row and column bits as one
-four-state site q, is a product across A|B (the operator-Schmidt
-decomposition), so the peel's blocks of sites are blocks of qubits.
-
-``tol`` bounds the purity defect 1 - tr(rho^2) of a marginal (of vec(rho) for
-a density matrix), which scales as the square of the perturbation that
-entangles it.  A failed certification raises FactorizationError on both paths.
+when rho realigned across A|B, rows (r_A, c_A) and columns (r_B, c_B), has
+rank 1 (K. Chen and L.-A. Wu, quant-ph/0205017).  So the peel reads rho's
+entries in memory order as a state of 2N qubits, site q being qubit q's row
+and column bits, and ``tol`` bounds the purity defect 1 - tr(rho^2) of a
+marginal of that state or of a pure one.  It scales as the square of the
+perturbation that entangles the marginal.  A failed certification raises
+FactorizationError on both paths.
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .states import (
 )
 
 LABEL_SEPARABLE = "fully separable"
+Blocks = tuple[tuple[int, ...], ...]
 
 
 class FactorizationError(RuntimeError):
@@ -105,15 +106,24 @@ def _check_tol(tol: float) -> float:
 _ROUNDING_PER_QUBIT = 64 * 2.0**-52
 
 
-def _product_overlap(vec: np.ndarray, columns: list[np.ndarray], bits: int) -> float:
-    """F = |t|^2 / |vec|^2 for t, ``vec`` contracted on its leading sites with
-    unit vectors along ``columns``: its overlap with a product state.  By
-    Eckart-Young F <= sigma_1^2 across the cut of each of those sites and of
-    the rest, so each such cut has a purity defect of at most 1 - F^2."""
-    t = vec
+def _product_overlap(level: np.ndarray, columns: list[np.ndarray]) -> float:
+    """F = |t|^2 / |level|^2 for t, ``level`` contracted on its leading sites,
+    read as the peel's rows, with unit vectors along ``columns``: its overlap
+    with a product state.  By Eckart-Young F <= sigma_1^2 across the cut of
+    each of those sites and of the rest, so each has a defect of at most 1 - F^2."""
+    t = level
     for c in columns:
-        t = (c.conj() / np.linalg.norm(c)) @ t.reshape(2**bits, -1)
-    return float(np.vdot(t, t).real) / float(np.vdot(vec, vec).real)
+        if level.ndim == 2:  # rho's rows 2a + b: its leading row bit a and column bit b
+            h = math.isqrt(t.size) // 2
+            t = t.reshape(2, h, 2, h).transpose(0, 2, 1, 3)
+        t = (c.conj() / np.linalg.norm(c)) @ t.reshape(len(c), -1)
+    return float(np.vdot(t, t).real) / float(np.vdot(level, level).real)
+
+
+def _normalized(flat: np.ndarray, total: float) -> PureState:
+    """``flat / sqrt(total)`` as a PureState, scaled as float64 pairs."""
+    scaled = flat.view(np.float64) * (1.0 / math.sqrt(total))
+    return PureState(flat.size.bit_length() - 1, scaled.view(np.complex128))
 
 
 # the bounds decide cuts whose smaller side has at least this many qubits;
@@ -152,67 +162,68 @@ def _cut_bounds(view: np.ndarray, keep: list[int]) -> tuple[float, float]:
     return low, 1.0 - overlap**2
 
 
-def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Certified finest blocks of ``psi`` in canonical order, in sites of
-    ``bits`` qubits, and whether any decision was near tol.
+def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Blocks, bool]:
+    """Certified finest blocks of ``state`` in canonical order, and whether
+    any decision was near tol.
 
-    Sites are never split.  Level 0 is ``psi.vec`` and level j + 1 the
-    heaviest row of level j over site j, a contiguous view of the input.
-    Top-down, each level's Gram matrix gives the row weights, site j's
-    (scale-invariant) purity defect and the heavy row's column.  Bottom-up: a
-    tensor factor of level j that leaves out site j is a factor of each of
-    its rows, so every block of level j + 1 is a block of level j or a piece
-    of site j's block; only the former has a pure marginal on level j.  A
-    lone block is site j's complement, of the same defect.
+    Site q is qubit q: bit q of ``psi.vec``, or bits q and N + q (its row
+    and column bits) of ``rho.mat``.  Level 0 is the input and level j + 1
+    the heaviest row of level j over site j, a view of the input.  Top-down,
+    each level's Gram matrix gives the row weights, site j's (scale-invariant)
+    purity defect and the heavy row's column.  Bottom-up: a tensor factor of
+    level j that leaves out site j is a factor of each of its rows, so every
+    block of level j + 1 is a block of level j or a piece of site j's block,
+    and only the former is pure on level j; a lone block is site j's complement.
 
-    Level 0 tests its cuts on ``psi`` itself, which is never copied.  A cut
-    with ``_BOUND_SIDE`` qubits or more on each side is first given to
-    ``_cut_bounds``: it passes if the upper bound is within tol, and is
-    rejected, not near, if the lower bound exceeds 10 tol, both with the
-    rounding allowance; in between, and for a narrower cut, marginal purity
-    decides it on ``psi`` at level 0, or on the normalized slice at j > 0.
-    A block whose cut only a row decided is certified on ``psi``: if levels
-    0..r-1 pass, one ``_product_overlap`` may decide the cuts of sites
-    1..r-1 and the rest; any other passes on the upper bound or is tested by
-    its marginal purity, and a defect above tol raises FactorizationError.
+    A cut with ``_BOUND_SIDE`` bits or more on each side passes on
+    ``_cut_bounds``' upper bound, or is rejected, not near, on its lower bound
+    above 10 tol; else marginal purity decides it on ``psi`` or on the level's
+    normalized PureState, built only then.  A block whose cut only a row
+    decided is certified on level 0, by one ``_product_overlap`` of a passing
+    run of levels 0..r-1, by the upper bound or by marginal purity; a defect
+    above tol raises FactorizationError.
     """
     tol = _check_tol(tol)
-    n = psi.n_qubits
-    allowance = _ROUNDING_PER_QUBIT * n
-    levels, view = [], psi.vec
-    for _ in range(n // bits - 1):
-        rows = view.reshape(2**bits, -1)
+    n, mixed = state.n_qubits, isinstance(state, DensityMatrix)
+    bits = 2 if mixed else 1  # of the vector per qubit
+    allowance = _ROUNDING_PER_QUBIT * bits * n
+    levels, view = [], state.mat if mixed else state.vec
+    for _ in range(n - 1):
+        if mixed:  # rows 2a + b of site j's row bit a and column bit b
+            quad = view.reshape(2, len(view) // 2, 2, -1)
+        rows = quad.transpose(0, 2, 1, 3).reshape(4, -1) if mixed else view.reshape(2, -1)
         gram = rows @ rows.conj().T
         weights = gram.diagonal().real.tolist()
         k = weights.index(max(weights))
         total = sum(weights)
         levels.append((view, total, 1.0 - float(np.vdot(gram, gram).real) / total**2, gram[:, k]))
-        view = rows[k]
-    found, near = [tuple(range(n - bits, n))], False
+        view = quad[k // 2, :, k % 2] if mixed else rows[k]
+    found, near = [(n - 1,)], False
     for j in reversed(range(len(levels))):
         view, total, defect, _ = levels[j]
-        site = tuple(range(j * bits, j * bits + bits))
+        level = None if j or mixed else state
         if defect <= tol:
-            found = [site] + found
+            found = [(j,)] + found
             continue
         defects = [defect]
         if len(found) > 1:
-            width, level, defects = n - j * bits, None if j else psi, []
+            width, defects = n - j, []
+            flat = view.reshape(-1) if mixed else view  # a view at level 0, a copy below
             for block in found:
-                keep, d = [q - j * bits for q in block], None
-                if min(len(block), width - len(block)) >= _BOUND_SIDE:
-                    low, high = _cut_bounds(view, keep)
+                # the block's bits at level j: for rho, its row bits and its column bits
+                keep, d = [q - j + w for w in (0, width)[:bits] for q in block], None
+                if min(len(keep), bits * width - len(keep)) >= _BOUND_SIDE:
+                    low, high = _cut_bounds(flat, keep)
                     if high + allowance <= tol:
                         d = high + allowance
                     elif low - allowance > 10.0 * tol:
                         d = low - allowance
                 if d is None:
-                    if level is None:
-                        level = PureState(width, view / math.sqrt(total))
+                    level = level or _normalized(flat, total)
                     d = 1.0 - marginal_purity(level, keep)
                 defects.append(d)
         near = near or tol < defect <= 10.0 * tol
-        head, kept = site, []
+        head, kept = (j,), []
         for block, d in zip(found, defects):
             near = near or tol < d <= 10.0 * tol
             if d > tol:
@@ -220,34 +231,34 @@ def _factorize(psi: PureState, tol: float, bits: int) -> tuple[tuple[tuple[int, 
             else:
                 kept.append(block)
         found = [head] + kept
-    # two blocks have one cut, which level 0 decided on psi itself
+    # two blocks have one cut, which level 0 decided on the input itself
     if len(found) > 2:
         run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
         undecided = found[1:] if run else found[:1]
         if run > 1:
-            overlap = _product_overlap(psi.vec, [column for *_, column in levels[:run]], bits)
+            overlap = _product_overlap(view, [column for *_, column in levels[:run]])
             if 1.0 - overlap**2 + allowance <= tol:
-                certified = {*found[:run], tuple(range(run * bits, n))}
+                certified = {*found[:run], tuple(range(run, n))}
                 undecided = [block for block in undecided if block not in certified]
+        flat = view.reshape(-1) if mixed else view  # of level 0, as are total and level
         for block in undecided:
-            if (min(len(block), n - len(block)) >= _BOUND_SIDE
-                    and _cut_bounds(psi.vec, list(block))[1] + allowance <= tol):
+            keep = [q + w for w in (0, n)[:bits] for q in block]
+            if (min(len(keep), bits * n - len(keep)) >= _BOUND_SIDE
+                    and _cut_bounds(flat, keep)[1] + allowance <= tol):
                 continue
-            defect = 1.0 - marginal_purity(psi, block)
+            level = level or _normalized(flat, total)
+            defect = 1.0 - marginal_purity(level, keep)
             if defect > tol:
                 raise FactorizationError(
-                    f"block {tuple(q // bits for q in block[::bits])} has purity defect "
-                    f"{defect:.3e} > tol={tol:g} on the input; the tolerance is "
-                    "numerically borderline for this state"
+                    f"block {block} has purity defect {defect:.3e} > tol={tol:g} on the "
+                    "input; the tolerance is numerically borderline for this state"
                 )
-    return tuple(sorted(tuple(sorted(q // bits for q in b[::bits])) for b in found)), near
+    return tuple(sorted(tuple(sorted(b)) for b in found)), near
 
 
-def finest_factorization(
-    psi: PureState, tol: float = DEFAULT_TOL
-) -> tuple[tuple[int, ...], ...]:
+def finest_factorization(psi: PureState, tol: float = DEFAULT_TOL) -> Blocks:
     """Blocks of the finest tensor factorization, in canonical order."""
-    return _factorize(psi, tol, 1)[0]
+    return _factorize(psi, tol)[0]
 
 
 def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
@@ -263,7 +274,7 @@ def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
 
 def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
     """Full classification: blocks, shape, index, and class label."""
-    blocks, near = _factorize(psi, tol, 1)
+    blocks, near = _factorize(psi, tol)
     shape = tuple(sorted(map(len, blocks), reverse=True))
     index = psi.n_qubits - len(blocks)
     label = LABEL_SEPARABLE if index == 0 else f"entangled class E={index}"
@@ -301,23 +312,12 @@ def ensemble_index(e: Ensemble, tol: float = DEFAULT_TOL) -> float:
     return total
 
 
-def mixed_product_split(
-    rho: DensityMatrix, tol: float = DEFAULT_TOL
-) -> tuple[tuple[int, ...], ...]:
-    """Finest product splitting of a density matrix.
-
-    rho = rho_A (x) rho_B exactly when vec(rho) / ||rho||_F, read as N
-    four-state sites holding qubit q's row and column bits, is a product
-    across A|B; so ``classify``'s peel and certification run on it unchanged,
-    ``tol`` bounds the same purity defect, and a block that fails
-    certification raises FactorizationError.  Returns block structure only;
-    whether a block is entangled is not determined for mixed inputs.
+def mixed_product_split(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Blocks:
+    """Finest product splitting of a density matrix, by ``classify``'s peel
+    and certification on rho's entries in place: ``tol`` bounds the same
+    purity defect, and a block that fails certification raises
+    FactorizationError.  At tol = 0 the split of an exact product rests on
+    the rounding of its last bits.  Returns block structure only; whether a
+    block is entangled is not determined for mixed inputs.
     """
-    n = rho.n_qubits
-    # site q of vec(rho) is qubits 2q and 2q + 1: qubit q's row and column bits
-    axes = [a for q in range(n) for a in (q, n + q)]
-    vec = rho.mat.reshape([2] * (2 * n)).transpose(axes).flatten()
-    vec /= np.linalg.norm(vec)
-    psi = PureState(2 * n, vec)
-    del vec  # PureState holds a copy; the peel must not keep both
-    return _factorize(psi, tol, 2)[0]
+    return _factorize(rho, tol)[0]

@@ -1,10 +1,13 @@
 """The reshape-and-dot forms give the bits of the numpy forms they replaced."""
+import math
+
 import numpy as np
 import pytest
 
+from entdex.classify import _normalized
 from entdex.construct import ghz_product, random_local_unitary
 from entdex.properties import measure_qubit
-from entdex.states import apply_local_unitary, pure_state, tensor
+from entdex.states import PureState, apply_local_unitary, marginal_purity, pure_state, tensor
 from tensordot_oracle import (
     looped_local_unitary_matrices,
     tensordot_apply_local_unitary,
@@ -63,3 +66,19 @@ def test_random_local_unitary_matches_three_uniform_draws(n):
         fresh = np.random.default_rng(seed)
         fresh.random(3 * n)
         assert gen.random() == fresh.random()
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_level_normalization_matches_complex_division(n):
+    # numpy's complex / real is (re + im * 0) * (1 / s), so scaling the
+    # float64 pairs by 1 / s gives the same values; only a zero's sign may differ
+    rng = np.random.default_rng(400 + n)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    v[rng.random(2**n) < 0.2] = 0.0
+    v.real[rng.random(2**n) < 0.2] = -0.0
+    v.imag[rng.random(2**n) < 0.2] = 0.0
+    total = float(np.vdot(v, v).real)
+    got, want = _normalized(v, total), PureState(n, v / math.sqrt(total))
+    assert np.array_equal(got.vec, want.vec)
+    for keep in {(0,), (n - 1,), tuple(range(min(n, 3)))}:
+        assert marginal_purity(got, keep) == marginal_purity(want, keep)

@@ -423,8 +423,8 @@ class TestKernelWork:
         module = sys.modules["entdex.classify"]
         inner, bounds = module._product_overlap, []
 
-        def recorded(vec, columns, bits):
-            overlap = inner(vec, columns, bits)
+        def recorded(level, columns):
+            overlap = inner(level, columns)
             bounds.append((len(columns), 1.0 - overlap**2))
             return overlap
 
@@ -729,6 +729,23 @@ class TestCutBounds:
 
 
 class TestMixedWork:
+    def test_split_builds_no_state_without_an_exact_top_level_cut(self, monkeypatch):
+        # rho's entries are peeled in place; a level becomes a PureState only
+        # for the exact kernel, and these peels test no cut on level 0
+        module, built = sys.modules["entdex.classify"], []
+
+        def counted(n_qubits, vec):
+            built.append(n_qubits)
+            return PureState(n_qubits, vec)
+
+        monkeypatch.setattr(module, "PureState", counted)
+        g = np.random.default_rng(17).normal(size=(2**7, 6)).view(np.complex128)
+        mats = [to_density(ghz_product([n], lu_seed=n)[0]).mat for n in (4, 8, 10)]
+        for mat in mats + [g @ g.conj().T / np.vdot(g, g).real]:
+            n = len(mat).bit_length() - 1
+            assert mixed_product_split(density_matrix(mat)) == (tuple(range(n)),)
+        assert built == []
+
     @pytest.mark.parametrize("n", [4, 8, 10])
     def test_ghz_density_needs_no_partial_trace(self, kernel_calls, n):
         assert mixed_product_split(to_density(ghz(n))) == (tuple(range(n)),)
@@ -788,12 +805,12 @@ class TestMixedWork:
         assert all(min(len(keep), psi.n_qubits - len(keep)) < 6 for psi, keep in kernel_calls)
 
     @pytest.mark.parametrize(
-        "shape, limit", [((10,), 2.01), ((5, 5), 2.02), ((4, 3, 3), 2.04), ((7, 3), 2.04)]
+        "shape, limit", [((10,), 2.01), ((5, 5), 2.01), ((4, 3, 3), 2.01), ((7, 3), 2.01)]
     )
     def test_peak_memory_is_gated(self, shape, limit):
-        # vec(rho) and its PureState copy, then the copy and the conjugate its
-        # Gram matrix takes, or the copy and the bounds' reordered copy of it
-        # for a cut.  One more full-size temporary adds 1.0 to the ratio
+        # rho is read in place; the peak is the level-0 Gram matrix's reordered
+        # rows and their conjugate.  A cut's bounds take one reordered copy of
+        # rho.  One more full-size temporary adds 1.0 to the ratio
         state, blocks = ghz_product(shape, lu_seed=3)
         rho = to_density(state)
         tracemalloc.start()
