@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .states import (
     DEFAULT_TOL,
     DensityMatrix,
     PureState,
+    _adopt,
     integer,
     marginal_purity,
     partial_trace,  # noqa: F401  perfbench/tracing.py wraps entdex.classify.partial_trace
@@ -48,8 +49,9 @@ Blocks = tuple[tuple[int, ...], ...]
 
 class FactorizationError(RuntimeError):
     """A block found by the peel failed certification: its marginal on the
-    input, or on vec(rho) for a density matrix, has a purity defect above tol,
-    so the tolerance is numerically borderline for this state."""
+    input state, or on rho's entries read as a state of 2N qubits, has a
+    purity defect above tol, so the tolerance is numerically borderline for
+    this state."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,9 @@ class Ensemble:
 
 
 def _check_tol(tol: float) -> float:
-    if not (math.isfinite(tol) and tol >= 0.0):
+    # a float first: the Real check alone takes about 0.7 us per call
+    real = isinstance(tol, float) or (isinstance(tol, numbers.Real) and not isinstance(tol, bool))
+    if not (real and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     return float(tol)
 
@@ -106,24 +110,25 @@ def _check_tol(tol: float) -> float:
 _ROUNDING_PER_QUBIT = 64 * 2.0**-52
 
 
-def _product_overlap(level: np.ndarray, columns: list[np.ndarray]) -> float:
+def _product_overlap(level: np.ndarray, columns: list[Sequence[complex]]) -> float:
     """F = |t|^2 / |level|^2 for t, ``level`` contracted on its leading sites,
     read as the peel's rows, with unit vectors along ``columns``: its overlap
     with a product state.  By Eckart-Young F <= sigma_1^2 across the cut of
     each of those sites and of the rest, so each has a defect of at most 1 - F^2."""
     t = level
-    for c in columns:
+    for column in columns:
         if level.ndim == 2:  # rho's rows 2a + b: its leading row bit a and column bit b
             h = math.isqrt(t.size) // 2
             t = t.reshape(2, h, 2, h).transpose(0, 2, 1, 3)
-        t = (c.conj() / np.linalg.norm(c)) @ t.reshape(len(c), -1)
+        scale = 1.0 / math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in column))
+        t = np.array([x.conjugate() * scale for x in column]) @ t.reshape(len(column), -1)
     return float(np.vdot(t, t).real) / float(np.vdot(level, level).real)
 
 
 def _normalized(flat: np.ndarray, total: float) -> PureState:
-    """``flat / sqrt(total)`` as a PureState, scaled as float64 pairs."""
-    scaled = flat.view(np.float64) * (1.0 / math.sqrt(total))
-    return PureState(flat.size.bit_length() - 1, scaled.view(np.complex128))
+    """``flat / sqrt(total)`` as a PureState that holds the one scaled copy,
+    scaled as float64 pairs."""
+    return _adopt((flat.view(np.float64) * (1.0 / math.sqrt(total))).view(np.complex128))
 
 
 # the bounds decide cuts whose smaller side has at least this many qubits;
@@ -162,18 +167,58 @@ def _cut_bounds(view: np.ndarray, keep: list[int]) -> tuple[float, float]:
     return low, 1.0 - overlap**2
 
 
+def _levels(state: Union[PureState, DensityMatrix]) -> list[tuple]:
+    """The peel's top-down pass: (view, total, defect, column) of levels
+    0..N-2.  Level 0 is the input and level j + 1 the heaviest row of level j
+    over site j (ties to the first), a view of the input.  Site j's Gram
+    matrix G gives the total tr G, the scale-invariant defect
+    1 - |G|^2 / tr(G)^2 and the heavy row's column of G.  A pure level's rows
+    are its two halves a and b, so G = [[<a,a>, <b,a>], [<a,b>, <b,b>]] takes
+    three dot products; rho's rows 2a + b, of site j's row bit a and column
+    bit b, are reordered into one copy and multiplied by its conjugate."""
+    levels = []
+    if isinstance(state, DensityMatrix):
+        view = state.mat
+        for _ in range(state.n_qubits - 1):
+            quad = view.reshape(2, len(view) // 2, 2, -1)
+            rows = quad.transpose(0, 2, 1, 3).reshape(4, -1)
+            gram = rows @ rows.conj().T
+            weights = gram.diagonal().real.tolist()
+            k = weights.index(max(weights))
+            total = sum(weights)
+            defect = 1.0 - float(np.vdot(gram, gram).real) / total**2
+            levels.append((view, total, defect, gram[:, k]))
+            view = quad[k // 2, :, k % 2]
+        return levels
+    view = state.vec
+    for _ in range(state.n_qubits - 1):
+        h = len(view) // 2
+        a, b = view[:h], view[h:]
+        w0, w1 = float(np.vdot(a, a).real), float(np.vdot(b, b).real)
+        c = complex(np.vdot(a, b))
+        total = w0 + w1
+        defect = 1.0 - (w0 * w0 + w1 * w1 + 2.0 * (c.real * c.real + c.imag * c.imag)) / total**2
+        if w1 > w0:
+            levels.append((view, total, defect, [c.conjugate(), w1]))
+            view = b
+        else:
+            levels.append((view, total, defect, [w0, c]))
+            view = a
+    return levels
+
+
 def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Blocks, bool]:
     """Certified finest blocks of ``state`` in canonical order, and whether
     any decision was near tol.
 
     Site q is qubit q: bit q of ``psi.vec``, or bits q and N + q (its row
-    and column bits) of ``rho.mat``.  Level 0 is the input and level j + 1
-    the heaviest row of level j over site j, a view of the input.  Top-down,
-    each level's Gram matrix gives the row weights, site j's (scale-invariant)
-    purity defect and the heavy row's column.  Bottom-up: a tensor factor of
-    level j that leaves out site j is a factor of each of its rows, so every
-    block of level j + 1 is a block of level j or a piece of site j's block,
-    and only the former is pure on level j; a lone block is site j's complement.
+    and column bits) of ``rho.mat``.  Top-down, ``_levels`` follows the
+    heaviest rows, views of the input, and reads site j's Gram matrix once
+    per level: from three dot products of a pure level's halves, or from
+    rho's reordered rows.  Bottom-up: a tensor factor of level j that leaves
+    out site j is a factor of each of its rows, so every block of level j + 1
+    is a block of level j or a piece of site j's block, and only the former
+    is pure on level j; a lone block is site j's complement.
 
     A cut with ``_BOUND_SIDE`` bits or more on each side passes on
     ``_cut_bounds``' upper bound, or is rejected, not near, on its lower bound
@@ -187,17 +232,7 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     n, mixed = state.n_qubits, isinstance(state, DensityMatrix)
     bits = 2 if mixed else 1  # of the vector per qubit
     allowance = _ROUNDING_PER_QUBIT * bits * n
-    levels, view = [], state.mat if mixed else state.vec
-    for _ in range(n - 1):
-        if mixed:  # rows 2a + b of site j's row bit a and column bit b
-            quad = view.reshape(2, len(view) // 2, 2, -1)
-        rows = quad.transpose(0, 2, 1, 3).reshape(4, -1) if mixed else view.reshape(2, -1)
-        gram = rows @ rows.conj().T
-        weights = gram.diagonal().real.tolist()
-        k = weights.index(max(weights))
-        total = sum(weights)
-        levels.append((view, total, 1.0 - float(np.vdot(gram, gram).real) / total**2, gram[:, k]))
-        view = quad[k // 2, :, k % 2] if mixed else rows[k]
+    levels = _levels(state)
     found, near = [(n - 1,)], False
     for j in reversed(range(len(levels))):
         view, total, defect, _ = levels[j]

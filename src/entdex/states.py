@@ -71,6 +71,16 @@ class PureState:
         return 2**self.n_qubits
 
 
+def _adopt(vec: np.ndarray) -> PureState:
+    """A PureState that takes ``vec`` itself, with no copy and no checks: for
+    a fresh complex128 vector of length 2**N, N >= 1, scaled to unit norm,
+    that no one else holds."""
+    psi = object.__new__(PureState)
+    object.__setattr__(psi, "n_qubits", vec.size.bit_length() - 1)
+    object.__setattr__(psi, "vec", _freeze(vec))
+    return psi
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian trace-1 operator on ``n_qubits`` qubits."""

@@ -19,6 +19,7 @@ from entdex.classify import (
     finest_factorization,
     minimal_pure_subset,
     mixed_product_split,
+    _normalized,
 )
 from entdex.construct import basis_state, ghz, ghz_product, random_local_unitary
 from entdex.partitions import enumerate_partitions, shape_of
@@ -289,8 +290,12 @@ class TestNormWithinTolerance:
         assert classify(pure_state(scale * state.vec)).blocks == blocks
 
 
+# bools and non-reals are refused with the same message, never read as 1.0 or 0.0
+BAD_TOLS = [math.nan, -1.0, math.inf, True, False, "1e-9", None, 1e-9j]
+
+
 class TestTolValidation:
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_pure_kernel_rejects(self, tol):
         with pytest.raises(ValueError, match="tol"):
             classify(ghz(3), tol=tol)
@@ -299,7 +304,7 @@ class TestTolValidation:
         with pytest.raises(ValueError, match="tol"):
             ensemble_index(Ensemble(2, ((1.0, (2,)),)), tol=tol)
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("tol", BAD_TOLS)
     def test_mixed_split_rejects(self, tol):
         with pytest.raises(ValueError, match="tol"):
             mixed_product_split(density_matrix(np.eye(4) / 4), tol=tol)
@@ -455,13 +460,16 @@ class TestKernelWork:
                 tested += len(on_input)
         assert tested > 0
 
-    @pytest.mark.parametrize("shape, limit", [((6, 6), 2.36), ((7, 5), 1.87), ((4, 3, 3, 2), 2.13)])
+    @pytest.mark.parametrize("shape, limit", [
+        ((6, 6), 2.33), ((7, 5), 1.83), ((4, 3, 3, 2), 2.09), ((12,), 0.05), ((20,), 0.05),
+    ])
     def test_peak_memory_is_gated(self, shape, limit):
-        # the input is read in place; the peak is a cut tested on it by the
+        # the input is read in place, and the peel reads each level from dot
+        # products of its halves; the peak is a cut tested on it by the
         # exact kernel (its reordered copy, its conjugate and their Gram
-        # matrix) or by the bounds (one reordered copy).  A copy of the input
-        # adds 1.0
-        state, blocks = ghz_product(shape, lu_seed=3)
+        # matrix) or by the bounds (one reordered copy), and a GHZ block
+        # tests none.  A copy of the input adds 1.0
+        state, blocks = ghz_product(shape, lu_seed=3, max_qubits=20)
         tracemalloc.start()
         try:
             assert classify(state).blocks == blocks
@@ -469,6 +477,18 @@ class TestKernelWork:
         finally:
             tracemalloc.stop()
         assert peak <= limit * state.vec.nbytes
+
+    def test_normalized_level_is_one_copy(self):
+        # the PureState holds the scaled array itself, not a second copy of it
+        vec = ghz_product([16], lu_seed=3, max_qubits=16).state.vec
+        tracemalloc.start()
+        try:
+            psi = _normalized(vec, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * vec.nbytes
+        assert np.array_equal(psi.vec, vec) and not psi.vec.flags.writeable
 
     @pytest.mark.parametrize("shape", [(10, 10), (6, 6), (7, 5)])
     def test_wide_cuts_need_no_kernel(self, kernel_calls, shape):
