@@ -37,6 +37,7 @@ from .states import (
     DensityMatrix,
     PureState,
     _adopt,
+    _cut_matrix,
     integer,
     marginal_purity,
     partial_trace,  # noqa: F401  perfbench/tracing.py wraps entdex.classify.partial_trace
@@ -125,10 +126,11 @@ def _product_overlap(level: np.ndarray, columns: list[Sequence[complex]]) -> flo
     return float(np.vdot(t, t).real) / float(np.vdot(level, level).real)
 
 
-def _normalized(flat: np.ndarray, total: float) -> PureState:
-    """``flat / sqrt(total)`` as a PureState that holds the one scaled copy,
-    scaled as float64 pairs."""
-    return _adopt((flat.view(np.float64) * (1.0 / math.sqrt(total))).view(np.complex128))
+def _normalized(view: np.ndarray, total: float) -> PureState:
+    """``view / sqrt(total)``, its entries in memory order, as a PureState that
+    holds the one scaled copy, scaled as float64 pairs and then flattened."""
+    scaled = view.view(np.float64) * (1.0 / math.sqrt(total))
+    return _adopt(scaled.view(np.complex128).reshape(-1))
 
 
 # the bounds decide cuts whose smaller side has at least this many qubits;
@@ -138,18 +140,15 @@ _BOUND_SIDE = 6
 
 def _cut_bounds(view: np.ndarray, keep: list[int]) -> tuple[float, float]:
     """(lower, upper) bounds on the purity defect of the cut ``keep`` | rest of
-    ``view`` (any norm), in O(len(view)) work on one reordered (side, rest)
-    copy m.  With row weights w, the heaviest row k and c = m m_k^H: the 2x2
+    ``view`` (any norm and shape; its 2^n entries in memory order are bits
+    0..n-1), in O(view.size) work on one contiguous (side, rest) copy m.
+    With row weights w, the heaviest row k and c = m m_k^H: the 2x2
     Gram matrix of row k and of the row farthest from it is a principal
     submatrix of m m^H, so by Cauchy interlacing its smaller eigenvalue over
     sum(w) is at most p_2 <= 1 - p_1 <= 1 - sum(p^2).  Row k after one power
     step, v = c^H m, gives F = |m v|^2 / (|v|^2 sum(w)) <= p_1, so by
     Eckart-Young the defect is at most 1 - F^2."""
-    n = view.size.bit_length() - 1
-    other = [q for q in range(n) if q not in keep]
-    side, rest = (keep, other) if len(keep) <= len(other) else (other, keep)
-    m = view.reshape([2] * n).transpose(*side, *rest).reshape(2 ** len(side), -1)
-    m = np.ascontiguousarray(m)  # the reshape may be a strided view
+    m = np.ascontiguousarray(_cut_matrix(view, keep))  # the reorder may be a strided view
     flat = m.view(np.float64)
     w = np.einsum("ij,ij->i", flat, flat)
     k = int(w.argmax())
@@ -220,46 +219,52 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     is a block of level j or a piece of site j's block, and only the former
     is pure on level j; a lone block is site j's complement.
 
-    A cut with ``_BOUND_SIDE`` bits or more on each side passes on
-    ``_cut_bounds``' upper bound, or is rejected, not near, on its lower bound
-    above 10 tol; else marginal purity decides it on ``psi`` or on the level's
-    normalized PureState, built only then.  A block whose cut only a row
-    decided is certified on level 0, by one ``_product_overlap`` of a passing
-    run of levels 0..r-1, by the upper bound or by marginal purity; a defect
-    above tol raises FactorizationError.
+    ``defects`` decides each block's cut on level j, a 1-D view of psi or a
+    strided 2-D view of rho read in place.  A cut with ``_BOUND_SIDE`` bits
+    or more on each side passes on ``_cut_bounds``' upper bound, or is
+    rejected, not near, on its lower bound above 10 tol; else marginal purity
+    decides it on ``psi`` or on the level's normalized PureState, built only
+    then.  A block whose cut only a row decided is certified on level 0 by
+    one ``_product_overlap`` of a passing run of levels 0..r-1, or by
+    ``defects`` without the lower bound; a defect above tol raises
+    FactorizationError.
     """
     tol = _check_tol(tol)
     n, mixed = state.n_qubits, isinstance(state, DensityMatrix)
     bits = 2 if mixed else 1  # of the vector per qubit
     allowance = _ROUNDING_PER_QUBIT * bits * n
     levels = _levels(state)
+    top = None if mixed else state  # level 0 as a PureState, once a cut test needs it
+
+    def defects(j, blocks, certify=False):
+        nonlocal top
+        view, total, _, _ = levels[j]
+        width, level = n - j, (None if j else top)
+        for block in blocks:
+            # the block's bits at level j: for rho, its row bits and its column bits
+            keep = [q - j + w for w in (0, width)[:bits] for q in block]
+            if min(len(keep), bits * width - len(keep)) >= _BOUND_SIDE:
+                low, high = _cut_bounds(view, keep)
+                if high + allowance <= tol:
+                    yield high + allowance
+                    continue
+                if low - allowance > 10.0 * tol and not certify:
+                    yield low - allowance
+                    continue
+            if level is None:
+                level = _normalized(view, total)
+                top = top if j else level  # for certification
+            yield 1.0 - marginal_purity(level, keep)
+
     found, near = [(n - 1,)], False
     for j in reversed(range(len(levels))):
-        view, total, defect, _ = levels[j]
-        level = None if j or mixed else state
+        defect = levels[j][2]
         if defect <= tol:
             found = [(j,)] + found
             continue
-        defects = [defect]
-        if len(found) > 1:
-            width, defects = n - j, []
-            flat = view.reshape(-1) if mixed else view  # a view at level 0, a copy below
-            for block in found:
-                # the block's bits at level j: for rho, its row bits and its column bits
-                keep, d = [q - j + w for w in (0, width)[:bits] for q in block], None
-                if min(len(keep), bits * width - len(keep)) >= _BOUND_SIDE:
-                    low, high = _cut_bounds(flat, keep)
-                    if high + allowance <= tol:
-                        d = high + allowance
-                    elif low - allowance > 10.0 * tol:
-                        d = low - allowance
-                if d is None:
-                    level = level or _normalized(flat, total)
-                    d = 1.0 - marginal_purity(level, keep)
-                defects.append(d)
         near = near or tol < defect <= 10.0 * tol
         head, kept = (j,), []
-        for block, d in zip(found, defects):
+        for block, d in zip(found, defects(j, found) if len(found) > 1 else [defect]):
             near = near or tol < d <= 10.0 * tol
             if d > tol:
                 head += block
@@ -271,18 +276,11 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
         run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
         undecided = found[1:] if run else found[:1]
         if run > 1:
-            overlap = _product_overlap(view, [column for *_, column in levels[:run]])
+            overlap = _product_overlap(levels[0][0], [column for *_, column in levels[:run]])
             if 1.0 - overlap**2 + allowance <= tol:
                 certified = {*found[:run], tuple(range(run, n))}
                 undecided = [block for block in undecided if block not in certified]
-        flat = view.reshape(-1) if mixed else view  # of level 0, as are total and level
-        for block in undecided:
-            keep = [q + w for w in (0, n)[:bits] for q in block]
-            if (min(len(keep), bits * n - len(keep)) >= _BOUND_SIDE
-                    and _cut_bounds(flat, keep)[1] + allowance <= tol):
-                continue
-            level = level or _normalized(flat, total)
-            defect = 1.0 - marginal_purity(level, keep)
+        for block, defect in zip(undecided, defects(0, undecided, certify=True)):
             if defect > tol:
                 raise FactorizationError(
                     f"block {block} has purity defect {defect:.3e} > tol={tol:g} on the "

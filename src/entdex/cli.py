@@ -209,11 +209,8 @@ def load_ensemble_file(
         _require(has_partition != has_state, f"{where}: term {k} needs exactly one of partition | state")
         if has_partition:
             raw = term["partition"]
-            _require(
-                isinstance(raw, list) and raw and all(isinstance(x, int) and not isinstance(x, bool) for x in raw),
-                f"{where}: term {k}: partition must be a list of integers",
-            )
-            try:
+            _require(isinstance(raw, list), f"{where}: term {k}: partition must be a list")
+            try:  # as_partition holds the integer rule for parts
                 parts = as_partition(raw)
             except ValueError as exc:
                 raise FileFormatError(f"{where}: term {k}: {exc}") from exc

@@ -73,8 +73,8 @@ class PureState:
 
 def _adopt(vec: np.ndarray) -> PureState:
     """A PureState that takes ``vec`` itself, with no copy and no checks: for
-    a fresh complex128 vector of length 2**N, N >= 1, scaled to unit norm,
-    that no one else holds."""
+    a complex128 vector of length 2**N, N >= 1, that PureState would accept
+    and no one can write (fresh, or a view of a frozen vector, then shared)."""
     psi = object.__new__(PureState)
     object.__setattr__(psi, "n_qubits", vec.size.bit_length() - 1)
     object.__setattr__(psi, "vec", _freeze(vec))
@@ -240,6 +240,15 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.vdot(rho.mat, rho.mat).real)
 
 
+def _cut_matrix(entries: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """The 2**n ``entries``, read in memory order as bits 0..n-1, as the matrix
+    (smaller side, rest) of the cut ``keep`` | rest: a view if it can be."""
+    n = entries.size.bit_length() - 1
+    other = [q for q in range(n) if q not in keep]
+    side, rest = (keep, other) if len(keep) <= len(other) else (other, keep)
+    return entries.reshape([2] * n).transpose(*side, *rest).reshape(2 ** len(side), -1)
+
+
 def marginal_purity(psi: PureState, keep: Iterable[int]) -> float:
     """Purity of the normalized marginal of a pure state on ``keep``.
 
@@ -247,11 +256,7 @@ def marginal_purity(psi: PureState, keep: Iterable[int]) -> float:
     contraction always runs on the smaller side of the cut.  Dividing by the
     squared trace makes a norm within tolerance of 1 read as exactly 1.
     """
-    n = psi.n_qubits
-    kept = qubit_subset(keep, n)
-    other = [q for q in range(n) if q not in kept]
-    side, rest = (kept, other) if len(kept) <= len(other) else (other, kept)
-    m = psi.vec.reshape([2] * n).transpose(*side, *rest).reshape(2 ** len(side), -1)
+    m = _cut_matrix(psi.vec, qubit_subset(keep, psi.n_qubits))
     g = m @ m.conj().T
     return float(np.vdot(g, g).real) / sum(g.diagonal().real.tolist()) ** 2
 
@@ -281,7 +286,6 @@ def permute_qubits(psi: PureState, perm: Sequence[int]) -> PureState:
     p = [qubit_index(x) for x in perm]
     if sorted(p) != list(range(n)):
         raise ValueError(f"perm {perm!r} is not a bijection on [0, {n})")
-    # output axis perm[i] must be fed by input axis i
-    inv = np.argsort(p)
-    t = psi.vec.reshape([2] * n)
-    return PureState(n, t.transpose(inv).reshape(-1))
+    # output axis perm[i] must be fed by input axis i; moving amplitudes
+    # keeps them finite and keeps the norm, so the result needs no checks
+    return _adopt(psi.vec.reshape([2] * n).transpose(np.argsort(p)).reshape(-1))

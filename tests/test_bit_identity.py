@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from entdex.classify import _normalized
+from entdex.classify import _cut_bounds, _normalized
 from entdex.construct import ghz_product, random_local_unitary
 from entdex.properties import measure_qubit
 from entdex.states import PureState, apply_local_unitary, marginal_purity, pure_state, tensor
@@ -68,17 +68,45 @@ def test_random_local_unitary_matches_three_uniform_draws(n):
         assert gen.random() == fresh.random()
 
 
+def with_zeros(rng, size):
+    """Random complex entries, with zeros, negative real zeros and zero imaginary parts."""
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    v[rng.random(size) < 0.2] = 0.0
+    v.real[rng.random(size) < 0.2] = -0.0
+    v.imag[rng.random(size) < 0.2] = 0.0
+    return v
+
+
+def rho_level(rng, n):
+    """A strided 2-D view of 2**n entries, n even, as the peel takes of rho's:
+    one of the four (row bit, column bit) sub-blocks of a matrix twice as wide."""
+    side = 2 ** (n // 2 + 1)
+    return with_zeros(rng, side * side).reshape(2, side // 2, 2, side // 2)[1, :, 0]
+
+
 @pytest.mark.parametrize("n", range(1, 21))
 def test_level_normalization_matches_complex_division(n):
     # numpy's complex / real is (re + im * 0) * (1 / s), so scaling the
     # float64 pairs by 1 / s gives the same values; only a zero's sign may differ
     rng = np.random.default_rng(400 + n)
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    v[rng.random(2**n) < 0.2] = 0.0
-    v.real[rng.random(2**n) < 0.2] = -0.0
-    v.imag[rng.random(2**n) < 0.2] = 0.0
-    total = float(np.vdot(v, v).real)
-    got, want = _normalized(v, total), PureState(n, v / math.sqrt(total))
-    assert np.array_equal(got.vec, want.vec)
-    for keep in {(0,), (n - 1,), tuple(range(min(n, 3)))}:
-        assert marginal_purity(got, keep) == marginal_purity(want, keep)
+    levels = [with_zeros(rng, 2**n)]
+    if n % 2 == 0 and n <= 16:
+        levels.append(rho_level(rng, n))
+    for level in levels:
+        flat = level.reshape(-1)
+        total = float(np.vdot(flat, flat).real)
+        got, want = _normalized(level, total), PureState(n, flat / math.sqrt(total))
+        assert np.array_equal(got.vec, want.vec)
+        for keep in {(0,), (n - 1,), tuple(range(min(n, 3)))}:
+            assert marginal_purity(got, keep) == marginal_purity(want, keep)
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_cut_bounds_read_a_strided_level_as_its_flat_copy(n):
+    # the reorder of a strided view and of its flat copy is one contiguous
+    # copy with the same entries, so the bounds come out bit for bit alike
+    level = rho_level(np.random.default_rng(500 + n), n)
+    flat = level.reshape(-1)
+    assert not level.flags.c_contiguous and not np.shares_memory(level, flat)
+    for keep in {(0,), (n - 1,), tuple(range(n // 2)), (0, n // 2), tuple(range(1, n, 2))}:
+        assert _cut_bounds(level, list(keep)) == _cut_bounds(flat, list(keep)), keep

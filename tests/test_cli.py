@@ -53,6 +53,9 @@ class TestPartitionsCommand:
         rc, out, _ = run(capsys, "partitions", "5", "--counts")
         assert rc == 0
         assert out.strip() == "7"
+        rc, out, _ = run(capsys, "partitions", "5", "--counts", "--json")
+        assert rc == 0
+        assert json.loads(out) == {"format_version": 1, "n": 5, "count": 7}
 
     def test_invalid_n(self, capsys):
         rc, out, err = run(capsys, "partitions", "0")
@@ -412,6 +415,15 @@ class TestIndexCommand:
         rc, _, _ = run(capsys, "index", "--ensemble", str(self._ensemble(tmp_path, terms)))
         assert rc == 1
 
+    @pytest.mark.parametrize("parts", [[], [True], [2.5], [1, 2], [0]])
+    def test_partition_is_refused_by_term(self, capsys, tmp_path, parts):
+        # as_partition holds the rule for parts; its message names the term
+        terms = [{"p": 1.0, "partition": parts}]
+        rc, out, err = run(capsys, "index", "--ensemble", str(self._ensemble(tmp_path, terms, n=1)))
+        assert rc == 1
+        assert out == ""
+        assert "term 0:" in err
+
     def test_term_with_both_payloads(self, capsys, tmp_path):
         terms = [{"p": 1.0, "partition": [4], "state": {"n": 4, "amplitudes": []}}]
         rc, _, _ = run(capsys, "index", "--ensemble", str(self._ensemble(tmp_path, terms)))
@@ -503,6 +515,14 @@ class TestEnvCap:
             rc, _, err = run(capsys, "partitions", "3")
             assert rc == 1
             assert cli.ENV_MAX_QUBITS in err
+
+    def test_cap_applies_to_ensemble_files(self, capsys, tmp_path, monkeypatch):
+        p = tmp_path / "e.json"
+        p.write_text(json.dumps({"n": 4, "terms": [{"p": 1.0, "partition": [4]}]}))
+        monkeypatch.setenv(cli.ENV_MAX_QUBITS, "3")
+        rc, out, err = run(capsys, "index", "--ensemble", str(p))
+        assert rc == 1 and out == ""
+        assert "n=4 exceeds the qubit cap of 3" in err
 
     def test_cap_applies_to_classify(self, capsys, tmp_path, monkeypatch):
         vec = np.zeros(16)

@@ -121,6 +121,15 @@ class TestDensity:
         # purity above 1 comes from a non-positive "density matrix"
         with pytest.raises(ValueError, match="purity"):
             density_matrix([[1.0, 0.6], [0.6, 0.0]])
+        with pytest.raises(ValueError, match=re.escape("square matrix, got shape (2, 4)")):
+            density_matrix(np.eye(2, 4) / 2)
+        with pytest.raises(ValueError, match="matrix side 3 is not a power of two"):
+            density_matrix(np.eye(3) / 3)
+        with pytest.raises(ValueError, match=re.escape("entries must have shape (2, 2), got (4, 4)")):
+            DensityMatrix(1, np.eye(4) / 4)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="density matrix contains NaN or Inf entries"):
+                DensityMatrix(1, [[bad, 0.0], [0.0, 0.5]])
 
     @pytest.mark.parametrize("row, col", [(0, 15), (15, 2), (9, 6)])
     def test_hermiticity_is_checked_in_every_slab(self, row, col):
@@ -302,11 +311,34 @@ class TestPermute:
         with pytest.raises(ValueError, match="bijection"):
             permute_qubits(bell(), [0, 0])
 
+    def test_result_holds_the_one_transposed_copy(self):
+        psi = haar_state(np.random.default_rng(16), 16)
+        perm = list(range(1, 16)) + [0]
+        tracemalloc.start()
+        try:
+            out = permute_qubits(psi, perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * psi.vec.nbytes
+        assert np.array_equal(out.vec, psi.vec.reshape([2] * 16).transpose(np.argsort(perm)).reshape(-1))
+        assert out.n_qubits == 16 and not out.vec.flags.writeable
+
+    def test_identity_shares_the_frozen_vector(self):
+        psi = haar_state(np.random.default_rng(3), 5)
+        out = permute_qubits(psi, range(5))
+        assert np.shares_memory(out.vec, psi.vec) and not out.vec.flags.writeable
+        assert out.n_qubits == 5 and out.vec.tobytes() == psi.vec.tobytes()
+
 
 class TestValidation:
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="power of two"):
             pure_state([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=re.escape("must be one-dimensional, got shape (2, 2)")):
+            pure_state(np.eye(2) / math.sqrt(2))
+        with pytest.raises(ValueError, match=re.escape("must have shape (2**2,), got (2, 2)")):
+            PureState(2, np.eye(2) / math.sqrt(2))
 
     def test_not_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
