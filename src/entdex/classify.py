@@ -6,7 +6,9 @@ into such factors is unique.  It is found by a Schmidt peel along nested
 views of the input, one level per qubit, so no subsets are enumerated; a
 level pays cut tests only when it leaves two or more candidate blocks.
 Blocks whose cut it decided only on a row are certified on the caller's
-state, read in place, by one overlap bound or by a cut test.  A cut with 6
+state, read in place, by one overlap bound or by a cut test.  The purity
+defect is subadditive, so one block per level and one per certification is
+often decided by the defects of the others, with no test.  A cut with 6
 qubits or more on each side is decided in O(2^N) between a lower bound
 (Cauchy interlacing) and an upper bound (Eckart-Young) on its defect; only
 a defect between them, or a narrower cut, pays the exact marginal purity,
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -166,6 +169,14 @@ def _cut_bounds(view: np.ndarray, keep: list[int]) -> tuple[float, float]:
     return low, 1.0 - overlap**2
 
 
+def _union_bound(defects: list[float], allowance: float) -> float:
+    """A bound on the defect of a union of blocks, from theirs and one more
+    ``allowance`` for the reading it is compared with: the purity defect is
+    the Tsallis q = 2 entropy, which is subadditive (K. M. R. Audenaert,
+    J. Math. Phys. 48, 083507 (2007))."""
+    return sum(max(d, 0.0) + allowance for d in defects) + allowance
+
+
 def _levels(state: Union[PureState, DensityMatrix]) -> list[tuple]:
     """The peel's top-down pass: (view, total, defect, column) of levels
     0..N-2.  Level 0 is the input and level j + 1 the heaviest row of level j
@@ -228,6 +239,18 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     one ``_product_overlap`` of a passing run of levels 0..r-1, or by
     ``defects`` without the lower bound; a defect above tol raises
     FactorizationError.
+
+    Each level is one pure vector, on which the defect D is subadditive, so
+    two decisions need no test (``_union_bound``).  The head, the block of
+    site j + 1, is tested last: site j's complement is the union of the
+    blocks, so when every other block passes, D(head) >= D(site j) minus
+    theirs, and above 10 tol the head joins site j, not near, as its test
+    would have ruled.  In certification the last undecided block is the
+    complement of the others, so it passes untested when the defects of the
+    others (site 0's or those kept on level 0, 1 - F^2 for each block the
+    overlap certified, and the blocks certified before it) sum within tol.
+    Blocks keep ``found``'s order, so the merged head and each cut's reorder
+    are the same as when every block was tested.
     """
     tol = _check_tol(tol)
     n, mixed = state.n_qubits, isinstance(state, DensityMatrix)
@@ -263,8 +286,17 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
             found = [(j,)] + found
             continue
         near = near or tol < defect <= 10.0 * tol
+        # site j's complement is the union of the blocks, so by subadditivity
+        # D(head) >= defect - sum(D(other blocks)): test the head last
+        ds = [defect]
+        if len(found) > 1:
+            tests = defects(j, found[1:] + found[:1])
+            ds = list(islice(tests, len(found) - 1))
+            low = defect - _union_bound(ds, allowance) - allowance  # less one for site j's defect
+            ds.insert(0, low if max(ds) <= tol and low > 10.0 * tol else next(tests))
+            del tests  # with the normalized level it may hold
         head, kept = (j,), []
-        for block, d in zip(found, defects(j, found) if len(found) > 1 else [defect]):
+        for block, d in zip(found, ds):
             near = near or tol < d <= 10.0 * tol
             if d > tol:
                 head += block
@@ -275,17 +307,27 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     if len(found) > 2:
         run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
         undecided = found[1:] if run else found[:1]
+        # defects of the blocks decided on the input: site 0's, or those kept on level 0
+        spent = [levels[0][2]] if run else [d for d in ds if d <= tol]
         if run > 1:
             overlap = _product_overlap(levels[0][0], [column for *_, column in levels[:run]])
             if 1.0 - overlap**2 + allowance <= tol:
                 certified = {*found[:run], tuple(range(run, n))}
-                undecided = [block for block in undecided if block not in certified]
-        for block, defect in zip(undecided, defects(0, undecided, certify=True)):
+                left = [block for block in undecided if block not in certified]
+                spent += [1.0 - overlap**2] * (len(undecided) - len(left))
+                undecided = left
+        tests = defects(0, undecided, certify=True)
+        for i, block in enumerate(undecided, 1):
+            # the last block is the others' complement: its defect is at most theirs summed
+            if i == len(undecided) and _union_bound(spent, allowance) <= tol:
+                break
+            defect = next(tests)
             if defect > tol:
                 raise FactorizationError(
                     f"block {block} has purity defect {defect:.3e} > tol={tol:g} on the "
                     "input; the tolerance is numerically borderline for this state"
                 )
+            spent.append(defect)
     return tuple(sorted(tuple(sorted(b)) for b in found)), near
 
 

@@ -44,7 +44,7 @@ from .partitions import (
     partition_count,
 )
 from .properties import PROPERTY_IDS, run_property_suite
-from .states import DEFAULT_MAX_QUBITS, DEFAULT_TOL, MAX_QUBITS_CEILING, PureState
+from .states import DEFAULT_MAX_QUBITS, DEFAULT_TOL, MAX_QUBITS_CEILING, PureState, integer
 
 FORMAT_VERSION = 1
 BIT_ORDER = "q0-most-significant"
@@ -101,8 +101,10 @@ def _parse_header(doc: Any, kind: str, max_qubits: int, where: str) -> int:
     _require(isinstance(doc, dict), f"{where}: {kind} must be a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
     _require(type(version) is int and version == FORMAT_VERSION, f"{where}: unsupported format_version")
-    n = doc.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, f"{where}: n must be a positive integer")
+    try:
+        n = integer(doc.get("n"), 1, "n must be a positive integer")
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
     _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")
     return n
 

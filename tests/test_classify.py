@@ -328,6 +328,21 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """Records the (level shape, keep) of each _cut_bounds call by the classifier."""
+    module = sys.modules["entdex.classify"]
+    inner = module._cut_bounds
+    calls = []
+
+    def counted(view, keep):
+        calls.append((view.shape, tuple(keep)))
+        return inner(view, keep)
+
+    monkeypatch.setattr(module, "_cut_bounds", counted)
+    return calls
+
+
 def repeated_cuts(calls, n):
     """How many kernel calls on an n-qubit state test a cut already tested on one."""
     seen, repeats = set(), 0
@@ -376,7 +391,7 @@ def noisy_products_with_separable_head(draw):
 # purity calls of classify on the classify-large benchmark shapes: GHZ_N,
 # (ceil(N/2), floor(N/2)), (N-1, 1) and N single qubits, at lu_seed=7 with
 # the qubits permuted by default_rng(N)
-CLASSIFY_LARGE_CALLS = {9: (0, 12, 2, 0), 10: (0, 14, 16, 0), 11: (0, 18, 0, 0), 12: (0, 19, 16, 0)}
+CLASSIFY_LARGE_CALLS = {9: (0, 10, 2, 0), 10: (0, 10, 9, 0), 11: (0, 16, 0, 0), 12: (0, 14, 9, 0)}
 
 
 class TestKernelWork:
@@ -419,6 +434,15 @@ class TestKernelWork:
             kernel_calls.clear()
             assert classify(state).blocks == blocks
             assert len(kernel_calls) <= limit, shape
+
+    @pytest.mark.parametrize("shape, limit", [((16, 4), 16), ((10, 10), 4), ((2,) * 10, 45)])
+    def test_unpermuted_products_skip_the_head(self, kernel_calls, shape, limit):
+        # site j shares its block with site j + 1, the head, tested last: when
+        # every other block passes, subadditivity decides the head (30, 9 and
+        # 55 calls when each head was tested)
+        state, blocks = ghz_product(shape, lu_seed=7, max_qubits=20)
+        assert classify(state).blocks == blocks
+        assert len(kernel_calls) <= limit
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(noisy_products_with_separable_head())
@@ -750,6 +774,69 @@ class TestCutBounds:
                 assert exact > 1e-8, (keep, exact, low)
 
 
+@st.composite
+def grouped_sites(draw):
+    """A Haar-random pure state of N 2-8 qubits, or vec(rho) of a random mixed
+    state of N 2-4 qubits read as the peel reads it (site q is bits q and
+    N + q), with disjoint blocks of its sites: (state, bits per site, blocks)."""
+    bits = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2, 8 // bits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if bits == 2:
+        amps = random_mixed_block(rng, n).reshape(-1)
+    else:
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n).filter(lambda ls: max(ls) >= 0))
+    blocks = [[q for q in range(n) if labels[q] == b] for b in range(4)]
+    return pure_state(amps / np.linalg.norm(amps)), bits, [b for b in blocks if b]
+
+
+class TestSubadditivity:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(grouped_sites())
+    def test_defect_of_a_union_is_at_most_the_sum(self, case):
+        # D = 1 - tr(rho_S^2) is the Tsallis q = 2 entropy, subadditive on every
+        # state; the peel skips a level's head and a certification's last block by it
+        state, bits, blocks = case
+        n = state.n_qubits // bits
+
+        def defect(sites):
+            return 1.0 - marginal_purity(state, [q + w for w in (0, n)[:bits] for q in sites])
+
+        allowance = sys.modules["entdex.classify"]._ROUNDING_PER_QUBIT * state.n_qubits
+        union = [q for block in blocks for q in block]
+        assert defect(union) <= sum(defect(block) for block in blocks) + allowance
+
+    def test_head_near_the_bound_is_still_tested(self, kernel_calls):
+        # |000> + a|110> + b|101>: on level 0 site 0 reads 2(a^2 + b^2) = 10.4 tol
+        # and the kept block (2,) 2b^2 = 0.9 tol, so subadditivity leaves the head
+        # (1,) at 9.5 tol or more: not decided.  Its test reads 2a^2 = 9.5 tol,
+        # which alone sets the warning
+        a, b = math.sqrt(4.75e-9), math.sqrt(0.45e-9)
+        vec = np.zeros(8)
+        vec[0b000], vec[0b110], vec[0b101] = 1.0, a, b
+        psi = pure_state(vec / np.linalg.norm(vec))
+        report = classify(psi)
+        assert report.blocks == ((0, 1), (2,))
+        assert report.warning is not None
+        assert [keep for state, keep in kernel_calls if state is psi] == [(2,), (1,)]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.one_of(noisy_dressed_products(), noisy_products_with_separable_head(),
+                  noisy_wide_inputs(), mixed_block_products()),
+        st.sampled_from([1e-9, 1e-7, 0.0]),
+    )
+    def test_skips_decide_as_the_tests(self, state, tol):
+        # with the union bound made useless every head and every last block is
+        # tested; reports (blocks and warnings), splits and error texts must not change
+        call = classify if isinstance(state, PureState) else mixed_product_split
+        result = outcome(lambda arg: call(arg, tol), state)
+        module = sys.modules["entdex.classify"]
+        with mock.patch.object(module, "_union_bound", lambda defects, allowance: math.inf):
+            assert outcome(lambda arg: call(arg, tol), state) == result
+
+
 class TestMixedWork:
     def test_split_builds_no_state_without_an_exact_top_level_cut(self, monkeypatch):
         # rho's entries are peeled in place; a level becomes a PureState only
@@ -794,30 +881,54 @@ class TestMixedWork:
             expected = tuple(sorted(tuple(sorted(perm[q] for q in b)) for b in blocks))
             kernel_calls.clear()
             assert mixed_product_split(density_matrix(permute_density(mat, perm))) == expected
-            assert len(kernel_calls) <= 2 * n, (n, perm)
+            assert len(kernel_calls) <= 3 * n // 2, (n, perm)
             total += len(kernel_calls)
-        # the bounds decide the cuts of 3 sites or more on either side
-        assert total <= 257
+        # the bounds decide the cuts of 3 sites or more on either side, and
+        # subadditivity a level's head and a certification's last block
+        assert total <= 196
 
-    def test_certification_is_one_cut_test_per_block(self, kernel_calls):
-        # the peel tests three cuts of vec(rho) and certification the head's
+    def test_certification_is_one_cut_test_per_block(self, kernel_calls, bound_calls):
+        # the peel tests three cuts of vec(rho); the head's is certified by
+        # subadditivity, from the defects of the two blocks kept on level 0
         rng = np.random.default_rng(7)
         mat = np.kron(np.kron(random_mixed_block(rng, 3), random_mixed_block(rng, 3)),
                       random_mixed_block(rng, 2))
         perm = (5, 2, 7, 0, 3, 6, 1, 4)
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 3, 6), (1, 4), (2, 5, 7))
-        assert len(kernel_calls) <= 12
+        assert len(kernel_calls) <= 12 and len(bound_calls) <= 2
         assert repeated_cuts(kernel_calls, 16) == 0
 
-    def test_two_block_split_is_certified_once(self, kernel_calls):
+    def test_two_block_split_is_certified_once(self, kernel_calls, bound_calls):
         rng = np.random.default_rng(5)
         mat = np.kron(random_mixed_block(rng, 4), random_mixed_block(rng, 4))
         perm = (6, 1, 3, 0, 7, 2, 4, 5)
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 1, 3, 6), (2, 4, 5, 7))
-        assert len(kernel_calls) <= 8
+        assert len(kernel_calls) <= 7 and len(bound_calls) <= 3
         assert repeated_cuts(kernel_calls, 16) == 0
+
+    @pytest.mark.parametrize("shape, perm, calls, bounds", [
+        ((4, 4), (4, 7, 6, 5, 0, 1, 2, 3), 1, 2),
+        ((3, 3, 2), (1, 0, 4, 2, 3, 5, 6, 7), 8, 2),
+        ((5, 3), (5, 7, 6, 3, 1, 2, 4, 0), 6, 2),
+    ])
+    def test_benchmark_layouts_are_gated(self, kernel_calls, bound_calls, shape, perm, calls, bounds):
+        # the mixed-split benchmark's layouts.  On (4, 4) and (3, 3, 2)
+        # subadditivity takes one level-0 cut from the bounds (3 and 10
+        # kernel calls and 3 bounds each when every cut was tested); on
+        # (5, 3) site 0 joins a block other than the head, so none is skipped
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            mat = np.ones((1, 1))
+            for width in shape:
+                mat = np.kron(mat, random_mixed_block(rng, width))
+            kernel_calls.clear()
+            bound_calls.clear()
+            mixed_product_split(density_matrix(permute_density(mat, perm)))
+            assert len(kernel_calls) <= calls and len(bound_calls) <= bounds
+            on_input = [keep for view_shape, keep in bound_calls if view_shape == (2**len(perm),) * 2]
+            assert len(on_input) <= 1
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (7, 3), (4, 3, 3)])
     def test_wide_cuts_need_no_kernel(self, kernel_calls, shape):

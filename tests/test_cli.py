@@ -244,6 +244,19 @@ class TestClassifyErrors:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", [2.0, True, "3", 0, None])
+def test_header_n_is_an_exact_positive_integer(capsys, tmp_path, n):
+    # states.integer's rule, for the n of a state file and of an ensemble file
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps({"n": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}), encoding="utf-8")
+    ensemble = tmp_path / "e.json"
+    ensemble.write_text(json.dumps({"n": n, "terms": [{"p": 1.0, "partition": [1]}]}), encoding="utf-8")
+    for args in (["classify", str(state)], ["index", "--ensemble", str(ensemble)]):
+        rc, out, err = run(capsys, *args)
+        assert rc == 1 and out == "", args
+        assert "n must be a positive integer" in err and "Traceback" not in err, args
+
+
 class TestHostileInput:
     """Inputs that once ended in a Python traceback exit 1 with an error line."""
 
@@ -589,6 +602,8 @@ class TestStateFileHelpers:
             ({"n": 0}, "n must be a positive integer"),
             ({"n": True}, "n must be a positive integer"),
             ({"n": 2.0}, "n must be a positive integer"),
+            ({"n": "3"}, "n must be a positive integer"),
+            ({"n": None}, "n must be a positive integer"),
             ({"n": 15}, "n=15 exceeds the qubit cap of 14"),
         ],
     )
