@@ -602,9 +602,9 @@ class TestStateFileHelpers:
             ({"n": 0}, "n must be a positive integer"),
             ({"n": True}, "n must be a positive integer"),
             ({"n": 2.0}, "n must be a positive integer"),
+            ({"n": 15}, "n=15 exceeds the qubit cap of 14"),
             ({"n": "3"}, "n must be a positive integer"),
             ({"n": None}, "n must be a positive integer"),
-            ({"n": 15}, "n=15 exceeds the qubit cap of 14"),
         ],
     )
     def test_state_and_ensemble_headers_share_their_messages(self, tmp_path, doc, message):
