@@ -3,17 +3,20 @@
 Detection principle: for a globally pure state, the marginal on a subset S is
 itself pure exactly when S is a tensor factor, and the finest factorization
 into such factors is unique.  It is found by a Schmidt peel along nested
-views of the input, one level per qubit, so no subsets are enumerated; a
-level pays cut tests only when it leaves two or more candidate blocks.
-Blocks whose cut it decided only on a row are certified on the caller's
-state, read in place, by one overlap bound or by a cut test.  The purity
-defect is subadditive, so one block per level and one per certification is
-often decided by the defects of the others, with no test.  A cut with 6
-qubits or more on each side is decided in O(2^N) between a lower bound
-(Cauchy interlacing) and an upper bound (Eckart-Young) on its defect; only
-a defect between them, or a narrower cut, pays the exact marginal purity,
-about 2^(N + k) work for a smaller side of k qubits.  The index is E = N - p
-for p blocks.
+views of the input, one level per qubit, so no subsets are enumerated.  A
+level of 2^12 entries or more with two or more candidate blocks contracts
+itself, block by block, with the state each block takes on the level's
+heavy row: by Eckart-Young the overlap F of that chain bounds the purity
+defect of every block it keeps by 1 - F^2 (G. Vidal, quant-ph/0301063, for
+the successive Schmidt decompositions).  The purity defect is subadditive,
+so the one block left last, whichever it is, is often decided by the
+defects of the others; only the rest pay cut tests.  Blocks whose cut it decided only on a
+row are certified on the caller's state, read in place, by the same chain
+or by a cut test.  A cut with 6 qubits or more on each side is decided in
+O(2^N) between a lower bound (Cauchy interlacing) and an upper bound
+(Eckart-Young) on its defect; only a defect between them, or a narrower
+cut, pays the exact marginal purity, about 2^(N + k) work for a smaller side
+of k qubits.  The index is E = N - p for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
 when rho realigned across A|B, rows (r_A, c_A) and columns (r_B, c_B), has
@@ -29,8 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import islice
-from typing import Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -85,7 +87,10 @@ class Ensemble:
         for prob, payload in self.terms:
             if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
                 raise ValueError(f"probability {prob!r} is not a real number")
-            prob = float(prob)
+            try:
+                prob = float(prob)
+            except OverflowError:  # an integer beyond the float range
+                prob = math.inf if prob > 0 else -math.inf
             if not 0.0 < prob <= 1.0:
                 raise ValueError(f"probabilities must lie in (0, 1], got {prob}")
             total += prob
@@ -114,19 +119,47 @@ def _check_tol(tol: float) -> float:
 _ROUNDING_PER_QUBIT = 64 * 2.0**-52
 
 
-def _product_overlap(level: np.ndarray, columns: list[Sequence[complex]]) -> float:
-    """F = |t|^2 / |level|^2 for t, ``level`` contracted on its leading sites,
-    read as the peel's rows, with unit vectors along ``columns``: its overlap
-    with a product state.  By Eckart-Young F <= sigma_1^2 across the cut of
-    each of those sites and of the rest, so each has a defect of at most 1 - F^2."""
-    t = level
-    for column in columns:
-        if level.ndim == 2:  # rho's rows 2a + b: its leading row bit a and column bit b
-            h = math.isqrt(t.size) // 2
-            t = t.reshape(2, h, 2, h).transpose(0, 2, 1, 3)
-        scale = 1.0 / math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in column))
-        t = np.array([x.conjugate() * scale for x in column]) @ t.reshape(len(column), -1)
-    return float(np.vdot(t, t).real) / float(np.vdot(level, level).real)
+def _product_overlap(level: np.ndarray, groups: list[list[int]], covectors: Iterable[np.ndarray],
+                     total: float, budget: float):
+    """The contraction chain of ``level`` (2^n entries of squared norm
+    ``total``, bits 0..n-1 in memory order) with <phi_B| of ``covectors``,
+    each on the bits of its group of ``groups`` in increasing order: for each
+    block in turn, whether its contraction was kept, and F so far.  F =
+    |t|^2 / (total |phi|^2), for t the level contracted with the kept
+    covectors, is the level's overlap with a product state; so by
+    Eckart-Young F <= sigma_1^2 across the cut of each kept block and of
+    their union, and each has a defect of at most 1 - F^2.  A contraction is
+    kept while 1 - F^2 <= ``budget``.  The level is read as it lies when the
+    other bits lead and the groups follow them in some order, and is else
+    reordered once, the groups in turn after the other bits; each step
+    multiplies a covector into one contiguous slab per value of the bits
+    before its group."""
+    n = level.size.bit_length() - 1
+    placed = sorted(groups)  # as the level lies, if the groups tile its last bits in order
+    lying = [p for group in placed for p in group]
+    free = n - len(lying)
+    if lying == list(range(free, n)):
+        t = level.reshape(-1)
+    else:
+        inner = {*lying}
+        placed = groups
+        order = [p for p in range(n) if p not in inner] + [p for group in groups for p in group]
+        t = level.reshape([2] * n).transpose(order).reshape(-1)
+    axes = [2**free] + [2 ** len(group) for group in placed]  # t's, in memory order
+    left, weight, overlap = [None] + placed, total, 1.0
+    for group, u in zip(groups, covectors):
+        k = left.index(group)
+        before = math.prod(axes[:k])
+        after = t.size // (before * len(u))
+        c = t.reshape(before, len(u)) @ u if after == 1 else u @ t.reshape(before, len(u), after)
+        w = weight * float(np.vdot(u, u).real)
+        f = float(np.vdot(c, c).real) / w
+        kept = 1.0 - f * f <= budget
+        if kept:
+            t, weight, overlap = c, w, f
+            del left[k], axes[k]
+        del c  # a skipped contraction is not held while the next covector is read
+        yield kept, overlap
 
 
 def _normalized(view: np.ndarray, total: float) -> PureState:
@@ -135,6 +168,10 @@ def _normalized(view: np.ndarray, total: float) -> PureState:
     scaled = view.view(np.float64) * (1.0 / math.sqrt(total))
     return _adopt(scaled.view(np.complex128).reshape(-1))
 
+
+# a level of at least this many entries runs the product-overlap chain; on a
+# smaller one the cut tests cost less than the chain's numpy calls
+_CHAIN_SIZE = 2**12
 
 # the bounds decide cuts whose smaller side has at least this many qubits;
 # below it the exact Gram matrix costs less than the bounds' numpy calls
@@ -217,6 +254,57 @@ def _levels(state: Union[PureState, DensityMatrix]) -> list[tuple]:
     return levels
 
 
+def _covectors(levels: list[tuple], j: int, blocks: list[tuple[int, ...]], bits: int):
+    """<phi_B| of each block of row j + 1 of the peel's ``levels`` in turn: a
+    single site's is the Gram column of its own level, and any other block's
+    (the last site's too, which has no level) is the slice of the row
+    through the row's largest entry."""
+    n = len(levels) + 1
+    row, size, at = levels[j + 1][0], bits * (n - j - 1), None
+    for block in blocks:
+        if len(block) == 1 and block[0] < n - 1:
+            yield np.conj(levels[block[0]][3])
+            continue
+        if at is None:
+            # a heavy row of a positive rho is a diagonal block, so its largest entry is on
+            # its diagonal; a row of a non-positive rho may have a zero diagonal
+            i = int(abs(row.diagonal()).argmax()) if bits == 2 else None
+            peak = i * (len(row) + 1) if i is not None and row[i, i] else int(abs(row).argmax())
+            at = [(peak >> (size - 1 - p)) & 1 for p in range(size)]  # for rho, row bits then column bits
+            grid = row.reshape([2] * size)
+        index = at.copy()
+        for q in block:
+            for w in (0, size // bits)[:bits]:
+                index[q - j - 1 + w] = slice(None)
+        yield np.conj(grid[tuple(index)]).reshape(-1)
+
+
+def _chain(levels: list[tuple], j: int, blocks: list[tuple[int, ...]], bits: int, budget: float,
+           settled) -> tuple[float | None, list[tuple[int, ...]], bool]:
+    """One product-overlap chain on level j of the peel's ``levels`` over
+    ``blocks``, blocks of its row, in order: 1 - F^2 of the blocks it kept,
+    or None; the blocks it neither kept nor settled, in order; and whether
+    it settled the last block.  It stops at its second skip, and before the
+    last block when it kept every other one: ``settled`` of their bound
+    then decides the last, which is not contracted."""
+    view, total, _, _ = levels[j]
+    width = len(levels) + 1 - j
+    groups = [[q - j + w for w in (0, width)[:bits] for q in sorted(block)] for block in blocks]
+    steps = _product_overlap(view, groups, _covectors(levels, j, blocks, bits), total, budget)
+    bound, left = None, []
+    for i, block in enumerate(blocks):
+        if i == len(blocks) - 1 and not left and bound is not None and settled([bound]):
+            return bound, left, True
+        if len(left) == 2:
+            return bound, left + blocks[i:], False
+        kept, overlap = next(steps)
+        if kept:
+            bound = 1.0 - overlap * overlap
+        else:
+            left.append(block)
+    return bound, left, False
+
+
 def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Blocks, bool]:
     """Certified finest blocks of ``state`` in canonical order, and whether
     any decision was near tol.
@@ -230,27 +318,32 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     is a block of level j or a piece of site j's block, and only the former
     is pure on level j; a lone block is site j's complement.
 
-    ``defects`` decides each block's cut on level j, a 1-D view of psi or a
-    strided 2-D view of rho read in place.  A cut with ``_BOUND_SIDE`` bits
-    or more on each side passes on ``_cut_bounds``' upper bound, or is
-    rejected, not near, on its lower bound above 10 tol; else marginal purity
-    decides it on ``psi`` or on the level's normalized PureState, built only
-    then.  A block whose cut only a row decided is certified on level 0 by
-    one ``_product_overlap`` of a passing run of levels 0..r-1, or by
-    ``defects`` without the lower bound; a defect above tol raises
-    FactorizationError.
+    On a level with two or more blocks and ``_CHAIN_SIZE`` entries or more,
+    ``_chain`` runs one ``_product_overlap`` on level j, a 1-D view of psi or
+    a strided 2-D view of rho read in place, over the blocks in ``found``'s
+    order with the head (the block of site j + 1) last.  Each block it keeps has a defect of at
+    most 1 - F^2, within tol after the rounding allowance, so its test would
+    have passed it, not near.  ``defects`` decides the others' cuts: a cut
+    with ``_BOUND_SIDE`` bits or more on each side passes on
+    ``_cut_bounds``' upper bound, or is rejected, not near, on its lower
+    bound above 10 tol; else marginal purity decides it on ``psi`` or on the
+    level's normalized PureState, built only then.  A block whose cut only a
+    row decided is certified on level 0 by the same chain, or by ``defects``
+    without the lower bound; a defect above tol raises FactorizationError.
 
-    Each level is one pure vector, on which the defect D is subadditive, so
-    two decisions need no test (``_union_bound``).  The head, the block of
-    site j + 1, is tested last: site j's complement is the union of the
-    blocks, so when every other block passes, D(head) >= D(site j) minus
-    theirs, and above 10 tol the head joins site j, not near, as its test
-    would have ruled.  In certification the last undecided block is the
-    complement of the others, so it passes untested when the defects of the
-    others (site 0's or those kept on level 0, 1 - F^2 for each block the
-    overlap certified, and the blocks certified before it) sum within tol.
-    Blocks keep ``found``'s order, so the merged head and each cut's reorder
-    are the same as when every block was tested.
+    Each level is one pure vector, on which the defect D is subadditive
+    (``_union_bound``), so two decisions need no test.  Site j's complement
+    is the union of the blocks, so when every other block passed, D(last) >=
+    D(site j) minus theirs, the kept blocks' union counted once at 1 - F^2;
+    above 10 tol the last block joins site j, not near, as its test would
+    have ruled.  The chain leaves that block for last, whichever it is, and
+    does not contract it when every other block was kept.  In certification
+    the last undecided block is the complement of the others, so it passes
+    untested when the defects of the others (site 0's or those kept on level
+    0, 1 - F^2 for the blocks the chain kept, and the blocks tested before
+    it) sum within tol.  Blocks keep ``found``'s order, so the merged head,
+    each cut's reorder and the block a failed certification names are the
+    same as when every block was tested.
     """
     tol = _check_tol(tol)
     n, mixed = state.n_qubits, isinstance(state, DensityMatrix)
@@ -279,43 +372,54 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
                 top = top if j else level  # for certification
             yield 1.0 - marginal_purity(level, keep)
 
-    found, near = [(n - 1,)], False
+    found, near, spent = [(n - 1,)], False, []
     for j in reversed(range(len(levels))):
         defect = levels[j][2]
         if defect <= tol:
             found = [(j,)] + found
             continue
         near = near or tol < defect <= 10.0 * tol
+        if len(found) == 1:  # a lone block is site j's complement, with site j's defect
+            found = [(j,) + found[0]]
+            continue
+
         # site j's complement is the union of the blocks, so by subadditivity
-        # D(head) >= defect - sum(D(other blocks)): test the head last
-        ds = [defect]
-        if len(found) > 1:
-            tests = defects(j, found[1:] + found[:1])
-            ds = list(islice(tests, len(found) - 1))
-            low = defect - _union_bound(ds, allowance) - allowance  # less one for site j's defect
-            ds.insert(0, low if max(ds) <= tol and low > 10.0 * tol else next(tests))
-            del tests  # with the normalized level it may hold
-        head, kept = (j,), []
-        for block, d in zip(found, ds):
+        # D(last) >= defect - sum(D(other blocks)) when every other block passed
+        def joins(spent):
+            return defect - _union_bound(spent, allowance) - allowance > 10.0 * tol
+
+        # the head last: site j's partner is most often site j + 1's block
+        blocks = found[1:] + found[:1]
+        bound, left, settled = None, blocks, False
+        if levels[j][0].size >= _CHAIN_SIZE:
+            bound, left, settled = _chain(levels, j, blocks, bits, tol - allowance, joins)
+        spent, joined = ([] if bound is None else [bound]), ({found[0]} if settled else set())
+        tests = defects(j, left)
+        for i, block in enumerate(left, 1):
+            if i == len(left) and not joined and joins(spent):
+                joined.add(block)
+                break
+            d = next(tests)
             near = near or tol < d <= 10.0 * tol
             if d > tol:
-                head += block
+                joined.add(block)
             else:
-                kept.append(block)
-        found = [head] + kept
+                spent.append(d)
+        del tests  # with the normalized level it may hold
+        # in found's order, so the merged head is the same as when every block was tested
+        head = (j,) + tuple(q for block in found if block in joined for q in block)
+        found = [head] + [block for block in found if block not in joined]
     # two blocks have one cut, which level 0 decided on the input itself
     if len(found) > 2:
-        run = next((j for j, (_, _, defect, _) in enumerate(levels) if defect > tol), len(levels))
-        undecided = found[1:] if run else found[:1]
-        # defects of the blocks decided on the input: site 0's, or those kept on level 0
-        spent = [levels[0][2]] if run else [d for d in ds if d <= tol]
-        if run > 1:
-            overlap = _product_overlap(levels[0][0], [column for *_, column in levels[:run]])
-            if 1.0 - overlap**2 + allowance <= tol:
-                certified = {*found[:run], tuple(range(run, n))}
-                left = [block for block in undecided if block not in certified]
-                spent += [1.0 - overlap**2] * (len(undecided) - len(left))
-                undecided = left
+        # the defects of the blocks decided on the input: site 0's, or those kept on level 0
+        if levels[0][2] <= tol:
+            spent = [levels[0][2]]
+            # a block the chain settled passes: it is the others' complement
+            bound, undecided, _ = _chain(levels, 0, found[1:], bits, tol - allowance,
+                                         lambda more: _union_bound(spent + more, allowance) <= tol)
+            spent += [] if bound is None else [bound]
+        else:
+            undecided = found[:1]
         tests = defects(0, undecided, certify=True)
         for i, block in enumerate(undecided, 1):
             # the last block is the others' complement: its defect is at most theirs summed

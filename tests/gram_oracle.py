@@ -1,10 +1,11 @@
 """Reference forms of the pure peel's top-down pass, kept as test oracles.
 
 The library reads site j's 2x2 Gram matrix of a pure level from three dot
-products of the level's two halves, and contracts a level with columns
-normalized in Python floats.  These bodies form the Gram matrix as
-``rows @ rows.conj().T`` and normalize each column with numpy, as the peel
-once did.  Both must agree to rounding and follow the same rows.
+products of the level's two halves, and contracts a level with its columns
+in one reordered chain that divides by their norms once, at the end.  These
+bodies form the Gram matrix as ``rows @ rows.conj().T`` and contract the
+leading sites in place with columns normalized by numpy, as the peel once
+did.  Both must agree to rounding and follow the same rows.
 """
 import numpy as np
 

@@ -258,7 +258,7 @@ def test_header_n_is_an_exact_positive_integer(capsys, tmp_path, n):
 
 
 class TestHostileInput:
-    """Inputs that once ended in a Python traceback exit 1 with an error line."""
+    """Inputs that once ended in a Python traceback exit with one error line."""
 
     HUGE = b"1" + b"0" * 400  # an integer beyond the float range
     STATE = b'{"n": 1, "amplitudes": [[%s, 0], [0, 0]]}'
@@ -305,6 +305,24 @@ class TestHostileInput:
         rc, out, _ = run(capsys, "classify", str(p))
         assert rc == 0
         assert "fully separable" in out
+
+    @pytest.mark.parametrize("command, code", [("classify", 2), ("index", 1)])
+    def test_huge_finite_amplitudes_are_a_norm_defect(self, capsys, tmp_path, command, code):
+        # their squared norm overflows: it reads inf, a norm defect, and numpy
+        # warns of nothing (under filterwarnings = error a warning would raise)
+        state = b'{"n": 1, "amplitudes": [[1e308, 1e308], [1e308, 0]]}'
+        p = tmp_path / "f.json"
+        if command == "classify":
+            args = ["classify", str(p)]
+        else:
+            args = ["index", "--ensemble", str(p)]
+            state = b'{"n": 1, "terms": [{"p": 1, "state": %s}]}' % state
+        p.write_bytes(state)
+        rc, out, err = run(capsys, *args)
+        assert rc == code
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "norm defect inf" in err
 
 
 _SCALARS = st.one_of(

@@ -1,4 +1,6 @@
 """The pure peel's dot products of two halves agree with the Gram products they replaced."""
+import math
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,11 @@ def heavy_rows(levels):
 
 
 def assert_agrees(psi):
-    """Every level's total, defect, column and row, and the overlap of every
-    leading run of levels, against the Gram-product forms.  A level whose
-    reference weights lie within the bound of each other is a rounding tie,
-    on which either row is right; the column must then be that row's."""
+    """Every level's total, defect, column and row, and the product-overlap
+    chain of every leading run of levels with their columns, against the
+    Gram-product forms.  A level whose reference weights lie within the
+    bound of each other is a rounding tie, on which either row is right; the
+    column must then be that row's."""
     levels = _levels(psi)
     assert len(levels) == psi.n_qubits - 1
     followed, columns = [], []
@@ -42,7 +45,10 @@ def assert_agrees(psi):
         followed.append(k)
         columns.append(gram[:, k])
     for run in range(1, len(levels) + 1):  # each contraction rounds once more
-        got = _product_overlap(psi.vec, [column for *_, column in levels[:run]])
+        covectors = [np.conj(column) for *_, column in levels[:run]]
+        steps = _product_overlap(psi.vec, [[q] for q in range(run)], covectors, levels[0][1], math.inf)
+        (*_, (kept, got)) = steps
+        assert kept
         assert abs(got - gram_product_overlap(psi.vec, columns[:run])) <= run * ULPS
     return followed
 
