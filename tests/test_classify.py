@@ -433,7 +433,7 @@ def noisy_products_with_separable_head(draw):
     """Noisy LU-dressed products, N 2-9, whose first 2 or more qubits are
     single-qubit blocks, perturbed by 1e-5 to 1e-4: their cuts read defects
     of about 1e-10 to 1e-8, so where the leading levels of the peel pass,
-    its overlap bound lands on both sides of tol=1e-9."""
+    the certification chain's bound lands on both sides of tol=1e-9."""
     n = draw(st.integers(2, 9))
     head = draw(st.integers(2, n))
     shape = (draw(st.sampled_from(enumerate_partitions(n - head))) if head < n else ()) + (1,) * head
@@ -478,7 +478,7 @@ class TestKernelWork:
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_dressed_separable_needs_no_kernel(self, kernel_calls, n):
-        # every level passes, and one overlap bound certifies every qubit's cut
+        # every level passes, and one chain on the input certifies every qubit's cut
         state, blocks = ghz_product((1,) * n, lu_seed=n, max_qubits=20)
         assert classify(state).blocks == blocks
         assert kernel_calls == []
