@@ -4,16 +4,16 @@ Detection principle: for a globally pure state, the marginal on a subset S is
 itself pure exactly when S is a tensor factor, and the finest factorization
 into such factors is unique.  It is found by a Schmidt peel along nested
 views of the input, one level per qubit, so no subsets are enumerated.  A
-level of 2^12 entries or more with two or more candidate blocks contracts
-itself, block by block, with the state each block takes on the level's
-heavy row: by Eckart-Young the overlap F of that chain bounds the purity
-defect of every block it keeps by 1 - F^2 (G. Vidal, quant-ph/0301063, for
-the successive Schmidt decompositions).  The purity defect is subadditive,
-so the one block left last, whichever it is, is often decided by the
-defects of the others; only the rest pay cut tests.  Blocks whose cut it decided only on a
-row are certified on the caller's state, read in place, by the same chain
-or by a cut test.  A cut with 6 qubits or more on each side is decided in
-O(2^N) between a lower bound (Cauchy interlacing) and an upper bound
+level with two or more candidate blocks contracts itself, block by block,
+with the state each block takes on the level's heavy row: by Eckart-Young
+the overlap F of that chain bounds the purity defect of every block it
+keeps by 1 - F^2 (G. Vidal, quant-ph/0301063, for the successive Schmidt
+decompositions).  The purity defect is subadditive, so the one block left
+last, whichever it is, is often decided by the defects of the others; only
+the rest pay cut tests.  Blocks whose cut it decided only on a row are
+certified on the caller's state, read in place, by the same chain or by a
+cut test.  A cut with 6 qubits or more on each side is decided in O(2^N)
+between a lower bound (Cauchy interlacing) and an upper bound
 (Eckart-Young) on its defect; only a defect between them, or a narrower
 cut, pays the exact marginal purity, about 2^(N + k) work for a smaller side
 of k qubits.  The index is E = N - p for p blocks.
@@ -169,10 +169,6 @@ def _normalized(view: np.ndarray, total: float) -> PureState:
     return _adopt(scaled.view(np.complex128).reshape(-1))
 
 
-# a level of at least this many entries runs the product-overlap chain; on a
-# smaller one the cut tests cost less than the chain's numpy calls
-_CHAIN_SIZE = 2**12
-
 # the bounds decide cuts whose smaller side has at least this many qubits;
 # below it the exact Gram matrix costs less than the bounds' numpy calls
 _BOUND_SIDE = 6
@@ -318,10 +314,10 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     is a block of level j or a piece of site j's block, and only the former
     is pure on level j; a lone block is site j's complement.
 
-    On a level with two or more blocks and ``_CHAIN_SIZE`` entries or more,
-    ``_chain`` runs one ``_product_overlap`` on level j, a 1-D view of psi or
-    a strided 2-D view of rho read in place, over the blocks in ``found``'s
-    order with the head (the block of site j + 1) last.  Each block it keeps has a defect of at
+    On a level with two or more blocks, ``_chain`` runs one
+    ``_product_overlap`` on level j, a 1-D view of psi or a strided 2-D view
+    of rho read in place, over the blocks in ``found``'s order with the head
+    (the block of site j + 1) last.  Each block it keeps has a defect of at
     most 1 - F^2, within tol after the rounding allowance, so its test would
     have passed it, not near.  ``defects`` decides the others' cuts: a cut
     with ``_BOUND_SIDE`` bits or more on each side passes on
@@ -390,9 +386,7 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
 
         # the head last: site j's partner is most often site j + 1's block
         blocks = found[1:] + found[:1]
-        bound, left, settled = None, blocks, False
-        if levels[j][0].size >= _CHAIN_SIZE:
-            bound, left, settled = _chain(levels, j, blocks, bits, tol - allowance, joins)
+        bound, left, settled = _chain(levels, j, blocks, bits, tol - allowance, joins)
         spent, joined = ([] if bound is None else [bound]), ({found[0]} if settled else set())
         tests = defects(j, left)
         for i, block in enumerate(left, 1):
@@ -437,6 +431,8 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
 
 def finest_factorization(psi: PureState, tol: float = DEFAULT_TOL) -> Blocks:
     """Blocks of the finest tensor factorization, in canonical order."""
+    if not isinstance(psi, PureState):
+        raise ValueError(f"finest_factorization takes a PureState, not {type(psi).__name__}; see mixed_product_split")
     return _factorize(psi, tol)[0]
 
 
@@ -453,6 +449,8 @@ def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
 
 def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
     """Full classification: blocks, shape, index, and class label."""
+    if not isinstance(psi, PureState):
+        raise ValueError(f"classify takes a PureState, not {type(psi).__name__}; see mixed_product_split")
     blocks, near = _factorize(psi, tol)
     shape = tuple(sorted(map(len, blocks), reverse=True))
     index = psi.n_qubits - len(blocks)

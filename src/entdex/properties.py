@@ -186,8 +186,10 @@ def run_property_suite(
     at DEFAULT_TOL.  A case fails when its deviation exceeds DEFAULT_TOL for
     property 3 and 0 for the exact integer checks of properties 1, 2 and 4.
     """
+    unknown = f"property_id must be one of {PROPERTY_IDS}, got {{!r}}"
+    property_id = integer(property_id, -math.inf, unknown)
     if property_id not in PROPERTY_IDS:
-        raise ValueError(f"property_id must be one of {PROPERTY_IDS}, got {property_id!r}")
+        raise ValueError(unknown.format(property_id))
     max_n = integer(max_n, -math.inf, "max_n must be an integer, got {!r}")
     if not 2 <= max_n <= MAX_QUBITS_CEILING:
         raise ValueError(f"max_n must be in [2, {MAX_QUBITS_CEILING}], got {max_n}")

@@ -194,6 +194,20 @@ class TestClassify:
         assert report.shape == (3,)
         assert report.index == 2
 
+    @pytest.mark.parametrize("call", [classify, finest_factorization, entanglement_index,
+                                      lambda rho: minimal_pure_subset(rho, 0)],
+                             ids=["classify", "finest_factorization", "entanglement_index",
+                                  "minimal_pure_subset"])
+    def test_mixed_state_is_refused(self, call):
+        # a classically correlated state is separable, not entangled class E=1
+        with pytest.raises(ValueError, match="takes a PureState, not DensityMatrix; see mixed_product_split"):
+            call(density_matrix(np.diag([0.5, 0.0, 0.0, 0.5])))
+
+    @pytest.mark.parametrize("call", [classify, finest_factorization])
+    def test_bare_array_is_refused(self, call):
+        with pytest.raises(ValueError, match="takes a PureState, not ndarray"):
+            call(np.array([1.0, 0.0]))
+
 
 class TestMinimalBlockUniqueness:
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -445,11 +459,11 @@ def noisy_products_with_separable_head(draw):
 
 # purity calls and product-overlap chains of classify on the classify-large
 # benchmark shapes: GHZ_N, (ceil(N/2), floor(N/2)), (N-1, 1) and N single
-# qubits, at lu_seed=7 with the qubits permuted by default_rng(N).  Only a
-# level of 2^12 entries or more runs a chain, and certification always does;
-# the purity calls at N = 12 were (0, 14, 9, 0) when each block was tested
-CLASSIFY_LARGE_CALLS = {9: (0, 10, 2, 0), 10: (0, 10, 9, 0), 11: (0, 16, 0, 0), 12: (0, 13, 8, 0)}
-CLASSIFY_LARGE_CHAINS = {9: (0, 0, 0, 1), 10: (0, 0, 0, 1), 11: (0, 0, 0, 1), 12: (0, 1, 1, 1)}
+# qubits, at lu_seed=7 with the qubits permuted by default_rng(N).  Every
+# level with two blocks or more runs a chain, and so does certification; the
+# purity calls at N = 12 were (0, 14, 9, 0) when each block was tested
+CLASSIFY_LARGE_CALLS = {9: (0, 0, 0, 0), 10: (0, 0, 0, 0), 11: (0, 0, 0, 0), 12: (0, 0, 0, 0)}
+CLASSIFY_LARGE_CHAINS = {9: (0, 6, 1, 1), 10: (0, 7, 8, 1), 11: (0, 9, 0, 1), 12: (0, 10, 8, 1)}
 
 
 class TestKernelWork:
@@ -503,14 +517,14 @@ class TestKernelWork:
         assert classify(state).blocks == blocks
         assert len(kernel_calls) <= limit
 
-    @pytest.mark.parametrize("shape, calls", [((10, 10), 0), ((16, 4), 7), ((2,) * 10, 10), ((5, 5, 5, 5), 4)],
+    @pytest.mark.parametrize("shape, calls", [((10, 10), 0), ((16, 4), 1), ((2,) * 10, 0), ((5, 5, 5, 5), 0)],
                              ids=["10-10", "16-4", "2x10", "5-5-5-5"])
     def test_tiling_blocks_need_no_reorder(self, kernel_calls, shape, calls):
         # blocks that tile each level in order are contracted from views of
         # the input, with no reordered copy: the peak is one contraction of
-        # the input, at most half of it.  The purity calls left are on levels
-        # below 2^12 entries (4, 16, 45 and 24 purity calls, and peaks of 1.0,
-        # 1.0, 2.0 and 2.0, when every block but the head was tested)
+        # the input, at most half of it (4, 16, 45 and 24 purity calls, and
+        # peaks of 1.0, 1.0, 2.0 and 2.0, when every block but the head was
+        # tested)
         state, blocks = ghz_product(shape, lu_seed=7, max_qubits=20)
         tracemalloc.start()
         try:
@@ -531,13 +545,15 @@ class TestKernelWork:
 
     def test_input_is_read_in_place(self, kernel_calls):
         # the peel's top level and certification both test cuts on the
-        # caller's state itself, never on a copy of it
+        # caller's state itself, never on a copy of it.  Undressed products,
+        # whose heavy rows are basis states, leave the chain cuts to test;
+        # it keeps every block of a dressed one
         rng = np.random.default_rng(47)
         tested = 0
         for n in range(2, 10):
             for shape in enumerate_partitions(n):
                 perm = [int(x) for x in rng.permutation(n)]
-                state, _ = ghz_product(shape, perm=perm, lu_seed=int(rng.integers(2**32)))
+                state, _ = ghz_product(shape, perm=perm)
                 kernel_calls.clear()
                 classify(state)
                 on_input = [psi for psi, _ in kernel_calls if psi.n_qubits == n]
@@ -577,7 +593,7 @@ class TestKernelWork:
 
     @pytest.mark.parametrize("shape", [(10, 10), (6, 6), (7, 5)])
     def test_wide_cuts_need_no_kernel(self, kernel_calls, shape):
-        # the bounds decide every cut with a smaller side of 6 qubits or more
+        # no cut with a smaller side of 6 qubits or more reaches the kernel
         state, blocks = ghz_product(shape, lu_seed=3, max_qubits=20)
         assert classify(state).blocks == blocks
         assert all(min(len(keep), psi.n_qubits - len(keep)) < 6 for psi, keep in kernel_calls)
@@ -748,11 +764,10 @@ class TestMixedScanOracle:
         rho = density_matrix(mat + 7e-5 * h / np.linalg.norm(h))
         assert mixed_product_split(rho) == ((0, 1, 2),)
 
-    def test_off_diagonal_heavy_row_is_split(self, monkeypatch):
+    def test_off_diagonal_heavy_row_is_split(self):
         # I/4 + 0.3 X (x) X is not positive: its heaviest row over qubit 0 is
-        # the off-diagonal block 0.3 X, whose diagonal is zero, so the chain,
-        # run here on every level, must slice that row off its diagonal
-        monkeypatch.setattr(sys.modules["entdex.classify"], "_CHAIN_SIZE", 1)
+        # the off-diagonal block 0.3 X, whose diagonal is zero, so the chain
+        # must slice that row off its diagonal
         x = np.array([[0.0, 1.0], [1.0, 0.0]])
         pair = np.eye(4) / 4 + 0.3 * np.kron(x, x)
         for rest, expected in [(np.diag([0.7, 0.3]), ((0, 1), (2,))),
@@ -812,6 +827,36 @@ def outcome(call, arg):
 
 
 class TestCutBounds:
+    def test_bounds_pass_and_reject_wide_cuts(self):
+        # (|0>|GHZ_6+>|GHZ_6+> + |1>|GHZ_6->|GHZ_6->)/sqrt(2): level 1, the row
+        # |GHZ_6+>|GHZ_6+>, is a product across its 6|6 cut, which the upper
+        # bound passes; on level 0 each GHZ_6 block with qubit 0 has defect
+        # 1/2, above 10 tol on the lower bound, so both are rejected, not near
+        module = sys.modules["entdex.classify"]
+        plus = np.zeros(64)
+        plus[0] = plus[-1] = 1.0
+        minus = plus.copy()
+        minus[-1] = -1.0
+        vec = np.kron([1.0, 0.0], np.kron(plus, plus)) + np.kron([0.0, 1.0], np.kron(minus, minus))
+        psi = pure_state(vec / np.linalg.norm(vec))
+        inner, seen = module._cut_bounds, []
+
+        def recorded(view, keep):
+            bounds = inner(view, keep)
+            seen.append((view.size.bit_length() - 1, tuple(keep), bounds))
+            return bounds
+
+        with mock.patch.object(module, "_cut_bounds", recorded):
+            report = classify(psi)
+        assert report.blocks == (tuple(range(13)),) and report.warning is None
+        assert [cut for *cut, _ in seen] == [[12, tuple(range(6, 12))], [13, tuple(range(7, 13))],
+                                             [13, tuple(range(1, 7))]]
+        passed, *rejected = [bounds for *_, bounds in seen]
+        assert passed[1] <= 1e-15
+        assert [low for low, _ in rejected] == pytest.approx([0.5, 0.5])
+        with mock.patch.object(module, "_BOUND_SIDE", 10**9):
+            assert classify(psi) == report
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(noisy_wide_inputs())
     def test_bounds_decide_as_the_exact_kernel(self, state):
@@ -880,25 +925,11 @@ class TestSubadditivity:
         union = [q for block in blocks for q in block]
         assert defect(union) <= sum(defect(block) for block in blocks) + allowance
 
-    def test_head_near_the_bound_is_still_tested(self, kernel_calls):
+    def test_head_near_the_bound_is_tested_after_the_chain(self, kernel_calls):
         # |000> + a|110> + b|101>: on level 0 site 0 reads 2(a^2 + b^2) = 10.4 tol
-        # and the kept block (2,) 2b^2 = 0.9 tol, so subadditivity leaves the head
-        # (1,) at 9.5 tol or more: not decided.  Its test reads 2a^2 = 9.5 tol,
-        # which alone sets the warning
-        a, b = math.sqrt(4.75e-9), math.sqrt(0.45e-9)
-        vec = np.zeros(8)
-        vec[0b000], vec[0b110], vec[0b101] = 1.0, a, b
-        psi = pure_state(vec / np.linalg.norm(vec))
-        report = classify(psi)
-        assert report.blocks == ((0, 1), (2,))
-        assert report.warning is not None
-        assert [keep for state, keep in kernel_calls if state is psi] == [(2,), (1,)]
-
-    def test_head_near_the_bound_is_tested_after_the_chain(self, kernel_calls, monkeypatch):
-        # the state above with the chain run on every level: it keeps the block
-        # (2,) with 1 - F^2 = 2b^2 = 0.9 tol, its bound counts for (2,) in the
-        # subadditivity rule, and the head (1,) is still tested and warns
-        monkeypatch.setattr(sys.modules["entdex.classify"], "_CHAIN_SIZE", 1)
+        # and the chain keeps the block (2,) with 1 - F^2 = 2b^2 = 0.9 tol, so
+        # subadditivity leaves the head (1,) at 9.5 tol or more: not decided.
+        # Its test reads 2a^2 = 9.5 tol, which alone sets the warning
         a, b = math.sqrt(4.75e-9), math.sqrt(0.45e-9)
         vec = np.zeros(8)
         vec[0b000], vec[0b110], vec[0b101] = 1.0, a, b
@@ -958,13 +989,11 @@ class TestProductOverlapChain:
     @given(chain_inputs(), st.sampled_from([1e-9, 1e-7]))
     def test_chain_bounds_every_block_it_certifies(self, state, tol):
         call = classify if isinstance(state, PureState) else mixed_product_split
-        with mock.patch.object(sys.modules["entdex.classify"], "_CHAIN_SIZE", 1):  # on every level
-            chain_bounds_hold(lambda arg: call(arg, tol), state)
+        chain_bounds_hold(lambda arg: call(arg, tol), state)
 
-    def test_chain_certifies_blocks_of_exact_products(self, kernel_calls, monkeypatch):
-        # the chain is not vacuous: run on every level of exact dressed
-        # products, it keeps blocks, and the kernel is left with no cut to test
-        monkeypatch.setattr(sys.modules["entdex.classify"], "_CHAIN_SIZE", 1)
+    def test_chain_certifies_blocks_of_exact_products(self, kernel_calls):
+        # the chain is not vacuous: on exact dressed products it keeps
+        # blocks, and the kernel is left with no cut to test
         rng = np.random.default_rng(53)
         for shape in [(3, 2, 2), (2, 2, 1, 1), (4, 3, 1)]:
             perm = [int(x) for x in rng.permutation(sum(shape))]
@@ -986,13 +1015,10 @@ class TestProductOverlapChain:
     )
     def test_chain_decides_as_the_tests(self, state, tol):
         # with a chain that keeps nothing every block goes to its cut test;
-        # blocks, warnings, splits and error texts must not change, whether
-        # the chain runs on every level or only on levels of 2^12 entries
+        # blocks, warnings, splits and error texts must not change
         call = classify if isinstance(state, PureState) else mixed_product_split
         result = outcome(lambda arg: call(arg, tol), state)
         module = sys.modules["entdex.classify"]
-        with mock.patch.object(module, "_CHAIN_SIZE", 1):
-            assert outcome(lambda arg: call(arg, tol), state) == result
         with mock.patch.object(module, "_product_overlap", certifying_nothing):
             assert outcome(lambda arg: call(arg, tol), state) == result
 
@@ -1027,8 +1053,10 @@ class TestMixedWork:
         assert kernel_calls == []
 
     def test_random_products_are_linear(self, kernel_calls, chain_calls):
+        # a chain on each level with two blocks or more, and in certification,
+        # keeps every block but one, which subadditivity decides (196 purity
+        # calls when each block was tested)
         rng = np.random.default_rng(31)
-        total = 0
         for _ in range(60):
             n = int(rng.integers(2, 9))
             mat, left, blocks = np.ones((1, 1)), n, []
@@ -1042,27 +1070,19 @@ class TestMixedWork:
             kernel_calls.clear()
             chain_calls.clear()
             assert mixed_product_split(density_matrix(permute_density(mat, perm))) == expected
-            assert len(kernel_calls) <= 3 * n // 2 and len(chain_calls) <= n, (n, perm)
-            total += len(kernel_calls)
-        # the bounds decide the cuts of 3 sites or more on either side, and
-        # subadditivity a level's last block and a certification's; a chain on
-        # each level of 2^12 entries or more, and in certification, keeps every
-        # block but one (196 purity calls when each block was tested)
-        assert total <= 122
+            assert kernel_calls == [] and len(chain_calls) <= n, (n, perm)
 
     def test_certification_is_one_cut_test_per_block(self, kernel_calls, bound_calls, chain_calls):
         # the head's cut on level 0 is certified by subadditivity, from the
-        # bound of the level-0 chain that kept the two other blocks; the
-        # purity calls left are on levels below 2^12 entries (12 purity calls
-        # and 2 bounds when each block was tested)
+        # bound of the level-0 chain that kept the two other blocks (12 purity
+        # calls and 2 bounds when each block was tested)
         rng = np.random.default_rng(7)
         mat = np.kron(np.kron(random_mixed_block(rng, 3), random_mixed_block(rng, 3)),
                       random_mixed_block(rng, 2))
         perm = (5, 2, 7, 0, 3, 6, 1, 4)
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 3, 6), (1, 4), (2, 5, 7))
-        assert len(kernel_calls) <= 5 and bound_calls == [] and len(chain_calls) <= 3
-        assert repeated_cuts(kernel_calls, 16) == 0
+        assert kernel_calls == [] and bound_calls == [] and len(chain_calls) <= 5
 
     def test_two_block_split_is_certified_once(self, kernel_calls, bound_calls, chain_calls):
         # 7 purity calls and 3 bounds when each block was tested
@@ -1071,22 +1091,21 @@ class TestMixedWork:
         perm = (6, 1, 3, 0, 7, 2, 4, 5)
         rho = density_matrix(permute_density(mat, perm))
         assert mixed_product_split(rho) == ((0, 1, 3, 6), (2, 4, 5, 7))
-        assert len(kernel_calls) <= 5 and bound_calls == [] and len(chain_calls) <= 3
-        assert repeated_cuts(kernel_calls, 16) == 0
+        assert kernel_calls == [] and bound_calls == [] and len(chain_calls) <= 6
 
     @pytest.mark.parametrize("shape, perm, calls, bounds, chains", [
         ((4, 4), (4, 7, 6, 5, 0, 1, 2, 3), 0, 0, 3),
-        ((3, 3, 2), (1, 0, 4, 2, 3, 5, 6, 7), 3, 0, 3),
-        ((5, 3), (5, 7, 6, 3, 1, 2, 4, 0), 2, 0, 3),
+        ((3, 3, 2), (1, 0, 4, 2, 3, 5, 6, 7), 0, 0, 4),
+        ((5, 3), (5, 7, 6, 3, 1, 2, 4, 0), 0, 0, 4),
         ((2, 2, 2, 2), (7, 6, 4, 2, 3, 1, 0, 5), 0, 0, 3),
     ], ids=["4-4", "3-3-2", "5-3", "2-2-2-2"])
     def test_benchmark_layouts_are_gated(self, kernel_calls, bound_calls, chain_calls,
                                          shape, perm, calls, bounds, chains):
-        # the mixed-split benchmark's layouts.  On each level of 2^12 entries
-        # or more with two blocks or more, one chain keeps every block but
-        # site j's partner, which subadditivity decides, whichever block it is
-        # (purity calls and bounds per op when each block was tested: (4, 4)
-        # 1 and 2, (3, 3, 2) 8 and 2, (5, 3) 6 and 2, (2, 2, 2, 2) 12 and 0)
+        # the mixed-split benchmark's layouts.  On each level with two blocks
+        # or more, one chain keeps every block but site j's partner, which
+        # subadditivity decides, whichever block it is (purity calls and
+        # bounds per op when each block was tested: (4, 4) 1 and 2, (3, 3, 2)
+        # 8 and 2, (5, 3) 6 and 2, (2, 2, 2, 2) 12 and 0)
         rng = np.random.default_rng(1)
         for _ in range(5):
             mat = np.ones((1, 1))
@@ -1101,7 +1120,7 @@ class TestMixedWork:
 
     @pytest.mark.parametrize("shape", [(4, 4), (5, 5), (7, 3), (4, 3, 3)])
     def test_wide_cuts_need_no_kernel(self, kernel_calls, shape):
-        # the bounds decide every cut of vec(rho) with 6 qubits or more on each side
+        # no cut of vec(rho) with 6 qubits or more on each side reaches the kernel
         state, blocks = ghz_product(shape, lu_seed=3)
         assert mixed_product_split(to_density(state)) == blocks
         assert all(min(len(keep), psi.n_qubits - len(keep)) < 6 for psi, keep in kernel_calls)

@@ -53,6 +53,8 @@ from entdex.states import DensityMatrix, PureState, integer
         pytest.param(lambda: run_property_suite(1, seed=2.5), 2.5, id="run_property_suite(1, seed=2.5)"),
         pytest.param(lambda: run_property_suite(1, seed=True), True, id="run_property_suite(1, seed=True)"),
         pytest.param(lambda: run_property_suite(1, seed=-1), -1, id="run_property_suite(1, seed=-1)"),
+        pytest.param(lambda: run_property_suite(True), True, id="run_property_suite(True)"),
+        pytest.param(lambda: run_property_suite(1.0), 1.0, id="run_property_suite(1.0)"),
         pytest.param(lambda: enumerate_partitions(4.0), 4.0, id="enumerate_partitions(4.0)"),
         pytest.param(lambda: partition_count(True), True, id="partition_count(True)"),
     ],
@@ -77,6 +79,7 @@ def test_numpy_integers_pass_as_python_ints():
     assert run_property_suite(1, max_n=np.int64(3), trials=np.int64(2)) == run_property_suite(
         1, max_n=3, trials=2
     )
+    assert type(run_property_suite(np.int64(2), max_n=3, trials=2).property_id) is int
     assert ghz_epr_arithmetic(np.int64(3)) == ghz_epr_arithmetic(3)
     dressed = ghz_product(np.array([2, 1]), perm=np.array([2, 0, 1]), lu_seed=np.int64(4))
     assert dressed.blocks == ((0, 2), (1,)) and all(type(q) is int for b in dressed.blocks for q in b)
