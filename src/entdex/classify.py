@@ -10,13 +10,13 @@ the overlap F of that chain bounds the purity defect of every block it
 keeps by 1 - F^2 (G. Vidal, quant-ph/0301063, for the successive Schmidt
 decompositions).  The purity defect is subadditive, so the one block left
 last, whichever it is, is often decided by the defects of the others; only
-the rest pay cut tests.  Blocks whose cut it decided only on a row are
-certified on the caller's state, read in place, by the same chain or by a
-cut test.  A cut with 6 qubits or more on each side is decided in O(2^N)
-between a lower bound (Cauchy interlacing) and an upper bound
-(Eckart-Young) on its defect; only a defect between them, or a narrower
-cut, pays the exact marginal purity, about 2^(N + k) work for a smaller side
-of k qubits.  The index is E = N - p for p blocks.
+the rest pay cut tests.  One routine makes these three decisions on every
+level, and again on the caller's state, read in place, to certify blocks
+whose cut only a row decided.  A cut with 6 qubits or more on each side
+is decided in O(2^N) between a lower bound (Cauchy interlacing) and an
+upper bound (Eckart-Young) on its defect; only a defect between them, or a
+narrower cut, pays the exact marginal purity, about 2^(N + k) work for a
+smaller side of k qubits.  The index is E = N - p for p blocks.
 
 Density matrices go through the same peel: rho = rho_A (x) rho_B exactly
 when rho realigned across A|B, rows (r_A, c_A) and columns (r_B, c_B), has
@@ -112,7 +112,15 @@ def _check_tol(tol: float) -> float:
     real = isinstance(tol, float) or (isinstance(tol, numbers.Real) and not isinstance(tol, bool))
     if not (real and math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    return float(tol)
+    return abs(float(tol))  # -0.0 reads as 0.0
+
+
+def _check_type(value, kind: type, caller: str) -> None:
+    """A ValueError unless ``value`` is a ``kind``, naming the function for the other kind of state."""
+    if not isinstance(value, kind):
+        see = {PureState: "; see mixed_product_split", DensityMatrix: "; see classify"}.get(kind, "")
+        raise ValueError(f"{caller} takes {'an' if kind is Ensemble else 'a'} {kind.__name__}, "
+                         f"not {type(value).__name__}{see}")
 
 
 # allowance for rounding in a bound on a defect: 64 units of 2**-52 per qubit of the vector
@@ -275,32 +283,6 @@ def _covectors(levels: list[tuple], j: int, blocks: list[tuple[int, ...]], bits:
         yield np.conj(grid[tuple(index)]).reshape(-1)
 
 
-def _chain(levels: list[tuple], j: int, blocks: list[tuple[int, ...]], bits: int, budget: float,
-           settled) -> tuple[float | None, list[tuple[int, ...]], bool]:
-    """One product-overlap chain on level j of the peel's ``levels`` over
-    ``blocks``, blocks of its row, in order: 1 - F^2 of the blocks it kept,
-    or None; the blocks it neither kept nor settled, in order; and whether
-    it settled the last block.  It stops at its second skip, and before the
-    last block when it kept every other one: ``settled`` of their bound
-    then decides the last, which is not contracted."""
-    view, total, _, _ = levels[j]
-    width = len(levels) + 1 - j
-    groups = [[q - j + w for w in (0, width)[:bits] for q in sorted(block)] for block in blocks]
-    steps = _product_overlap(view, groups, _covectors(levels, j, blocks, bits), total, budget)
-    bound, left = None, []
-    for i, block in enumerate(blocks):
-        if i == len(blocks) - 1 and not left and bound is not None and settled([bound]):
-            return bound, left, True
-        if len(left) == 2:
-            return bound, left + blocks[i:], False
-        kept, overlap = next(steps)
-        if kept:
-            bound = 1.0 - overlap * overlap
-        else:
-            left.append(block)
-    return bound, left, False
-
-
 def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Blocks, bool]:
     """Certified finest blocks of ``state`` in canonical order, and whether
     any decision was near tol.
@@ -314,32 +296,31 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     is a block of level j or a piece of site j's block, and only the former
     is pure on level j; a lone block is site j's complement.
 
-    On a level with two or more blocks, ``_chain`` runs one
-    ``_product_overlap`` on level j, a 1-D view of psi or a strided 2-D view
-    of rho read in place, over the blocks in ``found``'s order with the head
-    (the block of site j + 1) last.  Each block it keeps has a defect of at
-    most 1 - F^2, within tol after the rounding allowance, so its test would
-    have passed it, not near.  ``defects`` decides the others' cuts: a cut
-    with ``_BOUND_SIDE`` bits or more on each side passes on
-    ``_cut_bounds``' upper bound, or is rejected, not near, on its lower
-    bound above 10 tol; else marginal purity decides it on ``psi`` or on the
-    level's normalized PureState, built only then.  A block whose cut only a
-    row decided is certified on level 0 by the same chain, or by ``defects``
-    without the lower bound; a defect above tol raises FactorizationError.
+    ``decide`` rules on the blocks of a level, in ``found``'s order with
+    the head (the block of site j + 1) last.  With two or more blocks, one
+    ``_product_overlap`` runs on level j, a 1-D view of psi or a strided 2-D
+    view of rho read in place.  Each block it keeps has a defect of at most
+    1 - F^2, within tol after the rounding allowance, so its test would
+    have passed it, not near.  Each level is one pure vector, on which the
+    defect D is subadditive (``_union_bound``): once every other block
+    passed, ``settles`` may decide the last from their defects, the kept
+    blocks' union counted once at 1 - F^2, and the chain does not contract
+    it.  The rest pay a cut test.  A cut with ``_BOUND_SIDE`` bits or more
+    on each side passes on ``_cut_bounds``' upper bound, or, outside
+    certification, is rejected, not near, on its lower bound above 10 tol;
+    else marginal purity decides it on ``psi`` or on the level's normalized
+    PureState, built only then.
 
-    Each level is one pure vector, on which the defect D is subadditive
-    (``_union_bound``), so two decisions need no test.  Site j's complement
-    is the union of the blocks, so when every other block passed, D(last) >=
-    D(site j) minus theirs, the kept blocks' union counted once at 1 - F^2;
-    above 10 tol the last block joins site j, not near, as its test would
-    have ruled.  The chain leaves that block for last, whichever it is, and
-    does not contract it when every other block was kept.  In certification
-    the last undecided block is the complement of the others, so it passes
-    untested when the defects of the others (site 0's or those kept on level
-    0, 1 - F^2 for the blocks the chain kept, and the blocks tested before
-    it) sum within tol.  Blocks keep ``found``'s order, so the merged head,
-    each cut's reorder and the block a failed certification names are the
-    same as when every block was tested.
+    Site j's complement is the union of the blocks, so D(last) >= D(site j)
+    minus theirs; above 10 tol the last block joins site j, not near, as its
+    test would have ruled.  Blocks whose cut only a row decided are
+    certified on level 0 by ``decide`` too: the last is the complement of
+    the others, so it passes untested when their defects (site 0's or those
+    that passed on level 0, then those tested before it) sum within tol,
+    and a defect above tol raises FactorizationError.  Blocks keep
+    ``found``'s order, so the merged head, each cut's reorder and the block
+    a failed certification names are the same as when every block was
+    tested.
     """
     tol = _check_tol(tol)
     n, mixed = state.n_qubits, isinstance(state, DensityMatrix)
@@ -348,25 +329,54 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     levels = _levels(state)
     top = None if mixed else state  # level 0 as a PureState, once a cut test needs it
 
-    def defects(j, blocks, certify=False):
+    def decide(j, blocks, spent, settles, certify=False):
+        """(block, defect) of each of ``blocks`` on level j that the chain did
+        not keep, or (block, None) for a last block ``settles(spent)``
+        decided; every pass, the chain's 1 - F^2 too, goes into ``spent``."""
         nonlocal top
         view, total, _, _ = levels[j]
-        width, level = n - j, (None if j else top)
-        for block in blocks:
+        width, level, left, passed = n - j, (None if j else top), blocks, True
+        if len(blocks) > 1:
+            groups = [[q - j + w for w in (0, width)[:bits] for q in sorted(block)] for block in blocks]
+            steps = _product_overlap(view, groups, _covectors(levels, j, blocks, bits), total, tol - allowance)
+            bound, left = None, []
+            for i, block in enumerate(blocks):
+                if len(left) == 2:  # the chain stops at its second skip
+                    left += blocks[i:]
+                    break
+                if i == len(blocks) - 1 and not left and settles(spent + [bound]):
+                    spent.append(bound)
+                    yield block, None
+                    return
+                kept, overlap = next(steps)
+                if kept:
+                    bound = 1.0 - overlap * overlap
+                else:
+                    left.append(block)
+            del steps  # the chain's level is not held through the tests
+            spent += [] if bound is None else [bound]
+        for i, block in enumerate(left, 1):
+            if i == len(left) and passed and settles(spent):
+                yield block, None
+                return
             # the block's bits at level j: for rho, its row bits and its column bits
-            keep = [q - j + w for w in (0, width)[:bits] for q in block]
+            keep, d = [q - j + w for w in (0, width)[:bits] for q in block], None
             if min(len(keep), bits * width - len(keep)) >= _BOUND_SIDE:
                 low, high = _cut_bounds(view, keep)
                 if high + allowance <= tol:
-                    yield high + allowance
-                    continue
-                if low - allowance > 10.0 * tol and not certify:
-                    yield low - allowance
-                    continue
-            if level is None:
-                level = _normalized(view, total)
-                top = top if j else level  # for certification
-            yield 1.0 - marginal_purity(level, keep)
+                    d = high + allowance
+                elif low - allowance > 10.0 * tol and not certify:
+                    d = low - allowance
+            if d is None:
+                if level is None:
+                    level = _normalized(view, total)
+                    top = top if j else level  # for certification
+                d = 1.0 - marginal_purity(level, keep)
+            if d > tol:
+                passed = False
+            else:
+                spent.append(d)
+            yield block, d
 
     found, near, spent = [(n - 1,)], False, []
     for j in reversed(range(len(levels))):
@@ -384,92 +394,63 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
         def joins(spent):
             return defect - _union_bound(spent, allowance) - allowance > 10.0 * tol
 
+        spent, joined = [], set()
         # the head last: site j's partner is most often site j + 1's block
-        blocks = found[1:] + found[:1]
-        bound, left, settled = _chain(levels, j, blocks, bits, tol - allowance, joins)
-        spent, joined = ([] if bound is None else [bound]), ({found[0]} if settled else set())
-        tests = defects(j, left)
-        for i, block in enumerate(left, 1):
-            if i == len(left) and not joined and joins(spent):
+        for block, d in decide(j, found[1:] + found[:1], spent, joins):
+            near = near or d is not None and tol < d <= 10.0 * tol
+            if d is None or d > tol:
                 joined.add(block)
-                break
-            d = next(tests)
-            near = near or tol < d <= 10.0 * tol
-            if d > tol:
-                joined.add(block)
-            else:
-                spent.append(d)
-        del tests  # with the normalized level it may hold
         # in found's order, so the merged head is the same as when every block was tested
         head = (j,) + tuple(q for block in found if block in joined for q in block)
         found = [head] + [block for block in found if block not in joined]
     # two blocks have one cut, which level 0 decided on the input itself
     if len(found) > 2:
-        # the defects of the blocks decided on the input: site 0's, or those kept on level 0
+        # the blocks decided on the input: site 0, or those that passed on level 0;
+        # the last block left is the others' complement, so its defect is at most theirs summed
         if levels[0][2] <= tol:
-            spent = [levels[0][2]]
-            # a block the chain settled passes: it is the others' complement
-            bound, undecided, _ = _chain(levels, 0, found[1:], bits, tol - allowance,
-                                         lambda more: _union_bound(spent + more, allowance) <= tol)
-            spent += [] if bound is None else [bound]
+            spent, undecided = [levels[0][2]], found[1:]
         else:
             undecided = found[:1]
-        tests = defects(0, undecided, certify=True)
-        for i, block in enumerate(undecided, 1):
-            # the last block is the others' complement: its defect is at most theirs summed
-            if i == len(undecided) and _union_bound(spent, allowance) <= tol:
-                break
-            defect = next(tests)
-            if defect > tol:
+        for block, defect in decide(0, undecided, spent, lambda s: _union_bound(s, allowance) <= tol,
+                                    certify=True):
+            if defect is not None and defect > tol:
                 raise FactorizationError(
                     f"block {block} has purity defect {defect:.3e} > tol={tol:g} on the "
                     "input; the tolerance is numerically borderline for this state"
                 )
-            spent.append(defect)
     return tuple(sorted(tuple(sorted(b)) for b in found)), near
 
 
 def finest_factorization(psi: PureState, tol: float = DEFAULT_TOL) -> Blocks:
     """Blocks of the finest tensor factorization, in canonical order."""
-    if not isinstance(psi, PureState):
-        raise ValueError(f"finest_factorization takes a PureState, not {type(psi).__name__}; see mixed_product_split")
+    _check_type(psi, PureState, "finest_factorization")
     return _factorize(psi, tol)[0]
 
 
 def minimal_pure_subset(psi: PureState, i: int, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
     """The block of qubit ``i``: the smallest S containing i with a pure marginal."""
+    _check_type(psi, PureState, "minimal_pure_subset")
     (i,) = qubit_subset([i], psi.n_qubits)
-    return next(b for b in finest_factorization(psi, tol) if i in b)
+    return next(b for b in _factorize(psi, tol)[0] if i in b)
 
 
 def entanglement_index(psi: PureState, tol: float = DEFAULT_TOL) -> int:
     """E = N - p for the finest factorization into p blocks."""
-    return psi.n_qubits - len(finest_factorization(psi, tol))
+    _check_type(psi, PureState, "entanglement_index")
+    return psi.n_qubits - len(_factorize(psi, tol)[0])
 
 
 def classify(psi: PureState, tol: float = DEFAULT_TOL) -> ClassReport:
     """Full classification: blocks, shape, index, and class label."""
-    if not isinstance(psi, PureState):
-        raise ValueError(f"classify takes a PureState, not {type(psi).__name__}; see mixed_product_split")
+    _check_type(psi, PureState, "classify")
+    tol = _check_tol(tol)
     blocks, near = _factorize(psi, tol)
     shape = tuple(sorted(map(len, blocks), reverse=True))
     index = psi.n_qubits - len(blocks)
     label = LABEL_SEPARABLE if index == 0 else f"entangled class E={index}"
-    warning = (
-        "near-threshold purity defect within 10x tolerance; "
-        "classification may be sensitive to tol"
-        if near
-        else None
-    )
-    return ClassReport(
-        n_qubits=psi.n_qubits,
-        blocks=blocks,
-        shape=shape,
-        index=index,
-        label=label,
-        tolerance_used=float(tol),
-        warning=warning,
-    )
+    warning = "near-threshold purity defect within 10x tolerance; classification may be sensitive to tol"
+    return ClassReport(n_qubits=psi.n_qubits, blocks=blocks, shape=shape, index=index, label=label,
+                       tolerance_used=tol, warning=warning if near else None)
 
 
 def ensemble_index(e: Ensemble, tol: float = DEFAULT_TOL) -> float:
@@ -479,6 +460,7 @@ def ensemble_index(e: Ensemble, tol: float = DEFAULT_TOL) -> float:
     classified at ``tol`` first.  The result depends on the decomposition
     supplied; no search over alternative decompositions is attempted.
     """
+    _check_type(e, Ensemble, "ensemble_index")
     tol = _check_tol(tol)
     total = 0.0
     for prob, payload in e.terms:
@@ -497,4 +479,5 @@ def mixed_product_split(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> Blocks:
     the rounding of its last bits.  Returns block structure only; whether a
     block is entangled is not determined for mixed inputs.
     """
+    _check_type(rho, DensityMatrix, "mixed_product_split")
     return _factorize(rho, tol)[0]

@@ -203,10 +203,31 @@ class TestClassify:
         with pytest.raises(ValueError, match="takes a PureState, not DensityMatrix; see mixed_product_split"):
             call(density_matrix(np.diag([0.5, 0.0, 0.0, 0.5])))
 
-    @pytest.mark.parametrize("call", [classify, finest_factorization])
+    @pytest.mark.parametrize("call", [classify, finest_factorization, entanglement_index,
+                                      lambda psi: minimal_pure_subset(psi, 0)],
+                             ids=["classify", "finest_factorization", "entanglement_index",
+                                  "minimal_pure_subset"])
     def test_bare_array_is_refused(self, call):
         with pytest.raises(ValueError, match="takes a PureState, not ndarray"):
             call(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("call, arg, message", [
+        (mixed_product_split, np.array([1.0, 0.0]),
+         "mixed_product_split takes a DensityMatrix, not ndarray; see classify"),
+        (ensemble_index, [1], "ensemble_index takes an Ensemble, not list"),
+    ], ids=["mixed_product_split", "ensemble_index"])
+    def test_other_bare_values_are_refused_by_name(self, call, arg, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(arg)
+
+    def test_pure_state_is_refused_by_the_mixed_split(self):
+        # 2 theta^2 = 7e-10: the pure defect passes at the default tol, rho's does not
+        theta = math.sqrt(3.5e-10)
+        psi = pure_state([math.cos(theta), 0.0, 0.0, math.sin(theta)])
+        assert classify(psi).blocks == ((0,), (1,))
+        assert mixed_product_split(to_density(psi)) == ((0, 1),)
+        with pytest.raises(ValueError, match="mixed_product_split takes a DensityMatrix, not PureState; see classify"):
+            mixed_product_split(psi)
 
 
 class TestMinimalBlockUniqueness:
@@ -331,6 +352,9 @@ class TestTolValidation:
 
     def test_zero_is_accepted(self):
         assert classify(basis_state([0, 1, 0]), tol=0.0).shape == (1, 1, 1)
+        report = classify(basis_state([0, 1, 0]), tol=-0.0)
+        assert report.shape == (1, 1, 1)
+        assert math.copysign(1.0, report.tolerance_used) == 1.0
 
 
 @pytest.fixture
