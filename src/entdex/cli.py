@@ -11,6 +11,12 @@ An ensemble file is::
      "terms": [{"p": 0.5, "partition": [2, 2]},
                {"p": 0.5, "state": {...state file body...}}]}
 
+``save_state_file`` writes the document as ``json.dumps(indent=2)`` would,
+CHUNK_PAIRS pairs at a time.  ``load_state_file`` reads a file laid out
+byte for byte that way in blocks of at most CHUNK_PAIRS pairs, into one
+buffer; any other layout, and any file that reading would refuse, takes one
+``json.loads`` of the whole document, which decides every error message.
+
 ``entdex make`` also writes a ``<output>.truth.json`` sidecar recording the
 ground-truth blocks, shape, and expected index of the constructed state, so
 round-trip harnesses never have to re-derive them.
@@ -29,6 +35,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 from itertools import chain
 from pathlib import Path
@@ -45,7 +52,7 @@ from .partitions import (
     partition_count,
 )
 from .properties import PROPERTY_IDS, run_property_suite
-from .states import DEFAULT_MAX_QUBITS, DEFAULT_TOL, MAX_QUBITS_CEILING, PureState, integer
+from .states import DEFAULT_MAX_QUBITS, DEFAULT_TOL, MAX_QUBITS_CEILING, PureState, _fresh_state, integer
 
 FORMAT_VERSION = 1
 BIT_ORDER = "q0-most-significant"
@@ -55,8 +62,8 @@ ENV_MAX_QUBITS = "ENTDEX_MAX_QUBITS"
 NORM_SILENT = 1e-6
 NORM_WARN = 1e-3
 
-# amplitudes per write: at any N, the floats and text of one chunk stay a
-# small fraction of the file
+# amplitudes per write, and at most per block read: at any N, the floats
+# and text of one chunk stay a small fraction of the file
 CHUNK_PAIRS = 2048
 # one [re, im] pair as json.dumps(indent=2) lays it out inside the document
 _PAIR = "    [\n      %r,\n      %r\n    ]"
@@ -116,11 +123,7 @@ def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray
         _require(doc["bit_order"] == BIT_ORDER, f"{where}: bit_order must be {BIT_ORDER!r}")
     amps = doc.get("amplitudes")
     _require(isinstance(amps, list) and len(amps) == 2**n, f"{where}: amplitudes must be a list of exactly 2**n pairs")
-    # exact types: JSON yields no int or float subclass other than bool
-    if not (
-        all(type(pair) is list and len(pair) == 2 for pair in amps)
-        and set(map(type, chain.from_iterable(amps))) <= {int, float}
-    ):
+    if not _numeric_pairs(amps):
         k = next(k for k, pair in enumerate(amps) if not _is_numeric_pair(pair))
         raise FileFormatError(f"{where}: amplitude {k} must be a [re, im] numeric pair")
     try:
@@ -129,6 +132,13 @@ def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray
         raise FileFormatError(f"{where}: amplitudes must be finite") from exc
     _require(bool(np.all(np.isfinite(vec))), f"{where}: amplitudes must be finite")
     return vec, n
+
+
+def _numeric_pairs(amps: list) -> bool:
+    # exact types: JSON yields no int or float subclass other than bool
+    if not all(type(pair) is list and len(pair) == 2 for pair in amps):
+        return False
+    return set(map(type, chain.from_iterable(amps))) <= {int, float}
 
 
 def _is_numeric_pair(pair: Any) -> bool:
@@ -148,7 +158,67 @@ def _state_from_raw(vec: np.ndarray, n: int, where: str) -> tuple[PureState, lis
         )
     if defect > NORM_SILENT:
         warnings.append(f"{where}: norm defect {defect:.3e}; renormalizing")
-    return PureState(n, vec / nrm), warnings
+    vec /= nrm  # in place: the same ufunc as vec / nrm, so the same bits
+    return _fresh_state(n, vec), warnings
+
+
+def _state_layout(n: int) -> tuple[str, str]:
+    """The text of a state file of ``n`` qubits before and after its pairs."""
+    doc = {"format_version": FORMAT_VERSION, "bit_order": BIT_ORDER, "n": n, "amplitudes": []}
+    before, after = _dumps(doc).split("[]")
+    return before + "[\n", "\n  ]" + after
+
+
+def _read_saved_state(path: str | Path, max_qubits: int) -> tuple[np.ndarray, int] | None:
+    """The amplitudes and n of a state file laid out as ``save_state_file``
+    writes it, read in blocks of at most CHUNK_PAIRS pairs into one buffer;
+    None for any other file, and wherever the general reader would refuse
+    the document.
+
+    The header must be the writer's for its n, and the file must end in the
+    writer's tail.  Each block of text is cut at its last pair boundary and
+    the piece is parsed as a list.  A JSON string holds no raw newline, so a
+    piece that parses was cut between entries of the amplitudes list, and
+    the pieces hold exactly the entries one ``json.loads`` of the file would.
+    """
+    sep = "\n    ],\n"  # between two pairs
+    size = CHUNK_PAIRS * len(_PAIR % (0.0, 0.0) + ",\n")  # at most CHUNK_PAIRS of the writer's pairs
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # not even opened: a pipe can be read only once, by the general reader
+        with open(path, encoding="utf-8") as f:  # as Path.read_text opens it
+            lines = [f.readline(size) for _ in range(5)]
+            n = int(lines[3].removeprefix('  "n": ').removesuffix(",\n"))
+            if not 1 <= n <= max_qubits:
+                return None
+            head, tail = _state_layout(n)
+            if "".join(lines) != head:
+                return None
+            block = text = f.read(size)
+            pairs, filled = np.empty((2**n, 2)), 0
+
+            def put(piece: str) -> bool:  # the pairs of one piece, checked as the general reader checks them
+                nonlocal filled
+                amps = json.loads("[" + piece + "]")
+                end = filled + len(amps)
+                if not (amps and end <= len(pairs) and _numeric_pairs(amps)):
+                    return False
+                rows = np.array(amps, dtype=np.float64)
+                pairs[filled:end], filled = rows, end
+                return bool(np.isfinite(rows).all())
+
+            # a full block may have more text after it, and must hold a pair boundary;
+            # the piece keeps the closing bracket of its last pair, not the comma
+            while len(block) == size and (cut := text.rfind(sep)) >= 0:
+                if not put(text[: cut + len(sep) - 2]):
+                    return None
+                block = f.read(size)
+                text = text[cut + len(sep) :] + block
+            if f.read(1) or not text.endswith(tail) or not put(text.removesuffix(tail)):
+                return None
+    except (OverflowError, OSError, RecursionError, ValueError):  # ValueError: JSON, UTF-8, int digits
+        return None
+    return (pairs.reshape(-1).view(np.complex128), n) if filled == len(pairs) else None
 
 
 def load_state_file(
@@ -156,10 +226,14 @@ def load_state_file(
 ) -> tuple[PureState, list[str]]:
     """Read a state file, applying the load-time norm policy.
 
-    Returns the state and any warnings to surface; raises FileFormatError for
-    malformed documents and NormDefectError when the norm is beyond repair.
+    A file laid out as ``save_state_file`` writes it is streamed into one
+    buffer; any other file, and every error, goes through one ``json.loads``
+    of the whole document.  Returns the state and any warnings to surface;
+    raises FileFormatError for malformed documents and NormDefectError when
+    the norm is beyond repair.
     """
-    vec, n = _parse_state_body(_load_json(path), max_qubits, str(path))
+    raw = _read_saved_state(path, max_qubits)
+    vec, n = raw if raw is not None else _parse_state_body(_load_json(path), max_qubits, str(path))
     return _state_from_raw(vec, n, str(path))
 
 
@@ -170,18 +244,15 @@ def save_state_file(path: str | Path, psi: PureState) -> None:
     its text is ever held whole.  json writes a float with ``float.__repr__``
     and the amplitudes are finite, so ``%r`` gives json's bytes.
     """
-    head = _dumps(
-        {"format_version": FORMAT_VERSION, "bit_order": BIT_ORDER, "n": psi.n_qubits, "amplitudes": []}
-    )
+    head, tail = _state_layout(psi.n_qubits)
     with open(path, "w", encoding="utf-8") as f:
-        # the header ends in '"amplitudes": []'; open that list for the pairs
-        f.write(head.removesuffix("]\n}\n") + "\n")
+        f.write(head)
         for start in range(0, psi.dim, CHUNK_PAIRS):
             flat = psi.vec[start : start + CHUNK_PAIRS].view(np.float64).tolist()
             if start:
                 f.write(",\n")
             f.write(",\n".join([_PAIR] * (len(flat) // 2)) % tuple(flat))
-        f.write("\n  ]\n}\n")
+        f.write(tail)
 
 
 def truth_sidecar_path(output: str | Path) -> Path:

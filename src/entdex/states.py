@@ -53,8 +53,14 @@ class PureState:
     vec: np.ndarray
 
     def __post_init__(self) -> None:
+        self._hold(self.vec, copy=True)
+
+    def _hold(self, vec: np.ndarray, copy: bool = False) -> None:
+        """Check ``vec`` as the amplitudes of ``n_qubits`` qubits, then freeze
+        and keep it, or with ``copy`` a complex128 copy of it."""
         n = integer(self.n_qubits, 1, "n_qubits must be a positive integer, got {!r}")
-        vec = np.array(self.vec, dtype=np.complex128, copy=True)
+        if copy:
+            vec = np.array(vec, dtype=np.complex128, copy=True)
         if vec.shape != (2**n,):
             raise ValueError(f"amplitude vector must have shape (2**{n},), got {vec.shape}")
         # as one real vector an overflow reads inf, not NaN; scan only a non-finite norm
@@ -81,6 +87,15 @@ def _adopt(vec: np.ndarray) -> PureState:
     return psi
 
 
+def _fresh_state(n: int, vec: np.ndarray) -> PureState:
+    """``PureState(n, vec)`` holding ``vec`` itself: every check, no copy; for a
+    fresh complex128 vector that no one else holds."""
+    psi = object.__new__(PureState)
+    object.__setattr__(psi, "n_qubits", n)
+    psi._hold(vec)
+    return psi
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian trace-1 operator on ``n_qubits`` qubits."""
@@ -89,9 +104,15 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
+        self._hold(self.mat, copy=True)
+
+    def _hold(self, mat: np.ndarray, copy: bool = False) -> None:
+        """Check ``mat`` as the entries of ``n_qubits`` qubits, then freeze
+        and keep it, or with ``copy`` a complex128 copy of it."""
         n = integer(self.n_qubits, 1, "n_qubits must be a positive integer, got {!r}")
         d = _density_side(n)
-        mat = np.array(self.mat, dtype=np.complex128, copy=True)
+        if copy:
+            mat = np.array(mat, dtype=np.complex128, copy=True)
         if mat.shape != (d, d):
             raise ValueError(f"entries must have shape ({d}, {d}), got {mat.shape}")
         if not np.isfinite(mat).all():
@@ -115,6 +136,15 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+
+def _fresh_density(n: int, mat: np.ndarray) -> DensityMatrix:
+    """``DensityMatrix(n, mat)`` holding ``mat`` itself: every check, no copy;
+    for a fresh complex128 matrix that no one else holds."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "n_qubits", n)
+    rho._hold(mat)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -204,14 +234,14 @@ def tensor(a: PureState, b: PureState, max_qubits: int = DEFAULT_MAX_QUBITS) -> 
     n = a.n_qubits + b.n_qubits
     if n > max_qubits:
         raise ValueError(f"tensor product has {n} qubits, exceeding the cap of {max_qubits}")
-    return PureState(n, np.multiply.outer(a.vec, b.vec).reshape(-1))
+    return _fresh_state(n, np.multiply.outer(a.vec, b.vec).reshape(-1))
 
 
 def to_density(psi: PureState) -> DensityMatrix:
     """Rank-1 density matrix over the squared norm: trace 1 at any norm PureState accepts."""
     _density_side(psi.n_qubits)  # before np.outer allocates
     v = psi.vec
-    return DensityMatrix(psi.n_qubits, np.outer(v, v.conj() / np.vdot(v, v).real))
+    return _fresh_density(psi.n_qubits, np.outer(v, v.conj() / np.vdot(v, v).real))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -277,7 +307,7 @@ def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
         if q:  # rows from qubit q - 1 to qubit q, with q - 1 back in its column place
             t = t.reshape(2, 2 ** (q - 1), 2, -1).transpose(2, 1, 0, 3).reshape(2, -1)
         t = np.dot(m, t)
-    return PureState(n, t.T.reshape(-1))
+    return _fresh_state(n, t.T.reshape(-1))
 
 
 def permute_qubits(psi: PureState, perm: Sequence[int]) -> PureState:

@@ -963,6 +963,32 @@ class TestSubadditivity:
         assert report.warning is not None
         assert [keep for state, keep in kernel_calls if state is psi] == [(1,)]
 
+    def test_head_settled_by_the_chain_counts_its_bound(self, kernel_calls):
+        # Bell(0, 1) (x) (cos t|00> + sin t|11>): level 0's chain keeps (2,) and
+        # (3,) with bound B = 1 - F^2, about 2t^2, and settles the head (1,) as
+        # joining site 0.  Certification of the merged head (0, 1) starts from
+        # level 0's spent defects, B among them: at tol = B + 1.5 allowances,
+        # between one allowance and B + 2, the union bound cannot settle it,
+        # so its cut is tested on the input
+        t = 1e-5
+        psi = pure_state(np.kron([S2, 0, 0, S2], [math.cos(t), 0, 0, math.sin(t)]))
+        module = sys.modules["entdex.classify"]
+        inner, steps = module._product_overlap, []
+
+        def recorded(level, groups, covectors, total, budget):
+            for kept, overlap in inner(level, groups, covectors, total, budget):
+                steps.append((groups, kept, overlap))
+                yield kept, overlap
+
+        with mock.patch.object(module, "_product_overlap", recorded):
+            assert classify(psi).blocks == ((0, 1), (2,), (3,))
+        assert [(g, kept) for g, kept, _ in steps] == [([[2], [3], [1]], True)] * 2
+        bound = 1.0 - steps[-1][2] ** 2
+        allowance = module._ROUNDING_PER_QUBIT * psi.n_qubits
+        kernel_calls.clear()
+        assert classify(psi, bound + 1.5 * allowance).blocks == ((0, 1), (2,), (3,))
+        assert [keep for state, keep in kernel_calls if state is psi] == [(0, 1)]
+
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(
         st.one_of(noisy_dressed_products(), noisy_products_with_separable_head(),

@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -704,6 +707,182 @@ class TestStateFileWriter:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 4
+
+
+def _general_load(path, max_qubits=cli.DEFAULT_MAX_QUBITS):
+    """load_state_file as one json.loads of the whole document reads the file."""
+    vec, n = cli._parse_state_body(cli._load_json(path), max_qubits, str(path))
+    return cli._state_from_raw(vec, n, str(path))
+
+
+def _outcome(load, path):
+    """The state and warnings ``load`` returns, or the type and text of its
+    error, which the CLI maps to its exit code and message."""
+    try:
+        psi, warnings = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return psi.n_qubits, psi.vec.tobytes(), warnings
+
+
+def _set_value(text, k, value):
+    """``text`` with the real part of pair k replaced: the header takes five
+    lines and each pair four, its real part on the second."""
+    lines = text.split("\n")
+    lines[5 + 4 * k + 1] = f"      {value},"
+    return "\n".join(lines)
+
+
+def _swap_lines(text, i, j):
+    lines = text.split("\n")
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def _drop_pair(text, k):
+    lines = text.split("\n")
+    del lines[5 + 4 * k : 9 + 4 * k]
+    return "\n".join(lines)
+
+
+_EXTRA_PAIR = "    [\n      0.0,\n      0.0\n    ],\n"
+# each a change to a make-written file of 64 pairs
+_MUTATIONS = {
+    "header-whitespace": lambda text: text.replace('"n": ', '"n":  ', 1),
+    "key-order": lambda text: _swap_lines(text, 1, 2),
+    "duplicate-key": lambda text: text.replace('  "n"', '  "n": 6,\n  "n"', 1),
+    "conflicting-duplicate-key": lambda text: text.replace('  "n"', '  "n": 5,\n  "n"', 1),
+    "one-pair-more": lambda text: text.replace("[\n    [", "[\n" + _EXTRA_PAIR + "    [", 1),
+    "one-pair-fewer": lambda text: _drop_pair(text, 0),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "bom": lambda text: "\ufeff" + text,
+    "trailing-space": lambda text: text + " ",
+    "no-final-newline": lambda text: text[:-1],
+    "truncated-after-a-pair": lambda text: text[: text.index("],\n", len(text) // 2) + 3],
+    # the end of the first block read when CHUNK_PAIRS is 8
+    "truncated-at-a-block": lambda text: text[: text.index("[\n    [") + 2 + 8 * len(_EXTRA_PAIR)],
+    # every value scaled by 1 + 1e-4 and written as the writer writes it: a norm warning
+    "scaled": lambda text: re.sub(r"(?m)^( {6})(\S+?)(,?)$", lambda m: f"{m[1]}{float(m[2]) * 1.0001!r}{m[3]}", text),
+    "empty-body": lambda text: text[: text.index("[\n    [") + 2] + text[text.rindex("\n  ]") + 1 :],
+}
+_VALUES = {
+    "bool": "true",
+    "string": '"0.5"',
+    "nan": "NaN",
+    "infinite": "1e400",
+    "huge-integer": "1" + "0" * 400,
+    "too-many-digits": "1" * 5000,
+    "integer": "0",
+    "long-integer": "12345678901234567890123",
+    "norm-defect": "1.0",
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    "pair-in-a-pair": "[0.0, 0.0]",
+}
+
+
+class TestStreamedReader:
+    """load_state_file streams the files save_state_file writes; any other
+    file, and every error, reads as one json.loads of the whole document."""
+
+    @pytest.fixture
+    def general_reads(self, monkeypatch):
+        """Records the paths _load_json reads."""
+        inner, calls = cli._load_json, []
+
+        def counted(path):
+            calls.append(path)
+            return inner(path)
+
+        monkeypatch.setattr(cli, "_load_json", counted)
+        return calls
+
+    def assert_streamed(self, path, general_reads, max_qubits=cli.DEFAULT_MAX_QUBITS):
+        general_reads.clear()
+        psi, warnings = cli.load_state_file(path, max_qubits)
+        assert general_reads == []
+        vec, n = cli._read_saved_state(path, max_qubits)
+        ref_vec, ref_n = cli._parse_state_body(cli._load_json(path), max_qubits, str(path))
+        assert n == ref_n and vec.tobytes() == ref_vec.tobytes()
+        ref_psi, ref_warnings = _general_load(path, max_qubits)
+        assert psi.vec.tobytes() == ref_psi.vec.tobytes() and warnings == ref_warnings
+
+    def test_make_written_files(self, tmp_path, general_reads):
+        rng = np.random.default_rng(24)
+        path = tmp_path / "s.json"
+        for n in range(1, 13):
+            shapes = enumerate_partitions(n)
+            for dressed in (False, True):
+                shape = shapes[int(rng.integers(len(shapes)))]
+                perm = [int(q) for q in rng.permutation(n)] if dressed else None
+                lu_seed = int(rng.integers(2**32)) if dressed else None
+                state, _ = ghz_product(shape, perm=perm, lu_seed=lu_seed)
+                cli.save_state_file(path, state)
+                self.assert_streamed(path, general_reads)
+
+    # 2**12 pairs read in blocks of at most a few, just below, at and just
+    # above that many pairs, and the module's own
+    @pytest.mark.parametrize("chunk", [3, 2**12 - 1, 2**12, 2**12 + 1, cli.CHUNK_PAIRS])
+    @pytest.mark.parametrize("lu_seed", [None, 13], ids=["bare", "dressed"])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, general_reads, chunk, lu_seed):
+        state, _ = ghz_product((7, 5), perm=list(range(11, -1, -1)), lu_seed=lu_seed)
+        path = tmp_path / "s.json"
+        cli.save_state_file(path, state)
+        monkeypatch.setattr(cli, "CHUNK_PAIRS", chunk)
+        self.assert_streamed(path, general_reads)
+
+    @pytest.mark.parametrize("chunk", [8, cli.CHUNK_PAIRS])
+    @pytest.mark.parametrize("mutation", sorted(_MUTATIONS) + [f"{v}@{k}" for v in sorted(_VALUES) for k in (0, 37, 63)])
+    def test_mutated_files_read_as_the_general_reader_reads_them(self, tmp_path, monkeypatch, chunk, mutation):
+        state, _ = ghz_product((3, 2, 1), perm=[4, 0, 5, 2, 1, 3], lu_seed=31)
+        path = tmp_path / "s.json"
+        cli.save_state_file(path, state)
+        text = path.read_text(encoding="utf-8")
+        if "@" in mutation:
+            value, k = mutation.split("@")
+            mutated = _set_value(text, int(k), _VALUES[value])
+        else:
+            mutated = _MUTATIONS[mutation](text)
+        assert mutated != text
+        path.write_bytes(mutated.encode("utf-8"))
+        monkeypatch.setattr(cli, "CHUNK_PAIRS", chunk)
+        assert _outcome(cli.load_state_file, path) == _outcome(_general_load, path)
+
+    def test_other_layouts_take_the_general_reader(self, tmp_path, general_reads):
+        state, _ = ghz_product((2, 1), lu_seed=5)
+        path = tmp_path / "s.json"
+        write_state(path, state.vec)
+        assert cli._read_saved_state(path, 14) is None
+        psi, _ = cli.load_state_file(path)
+        assert general_reads == [path] and psi.vec.tobytes() == _general_load(path)[0].vec.tobytes()
+
+    def test_a_pipe_is_read_once(self, tmp_path):
+        state, _ = ghz_product((2, 1), lu_seed=5)
+        path, fifo = tmp_path / "s.json", tmp_path / "fifo"
+        cli.save_state_file(path, state)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+        writer.start()
+        result = []
+        reader = threading.Thread(target=lambda: result.append(_outcome(cli.load_state_file, fifo)), daemon=True)
+        reader.start()
+        reader.join(timeout=30)
+        if reader.is_alive():  # the writer went away: give the reader its end of file
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert result[0] == _outcome(cli.load_state_file, path)
+
+    @pytest.mark.parametrize("lu_seed", [None, 16], ids=["bare", "dressed"])
+    def test_read_memory_below_two_and_a_half_vectors(self, tmp_path, lu_seed):
+        state, _ = ghz_product((16,), lu_seed=lu_seed, max_qubits=16)
+        path = tmp_path / "s.json"
+        cli.save_state_file(path, state)
+        tracemalloc.start()
+        try:
+            cli.load_state_file(path, max_qubits=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * state.vec.nbytes
 
 
 def test_stdout_carries_results_only(capsys, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entdex.classify import mixed_product_split
+from entdex.construct import ghz_product
 from entdex.states import (
     DensityMatrix,
     LocalUnitary,
@@ -60,6 +61,12 @@ class TestTensor:
             out = tensor(haar_state(rng, 2), haar_state(rng, 3))
             assert abs(np.linalg.norm(out.vec) - 1.0) < 1e-12
 
+    def test_product_of_norms_past_tol_is_refused(self):
+        # each factor is within DEFAULT_TOL of norm 1, their product is not
+        a = PureState(1, np.array([1.0 + 8e-10, 0.0]))
+        with pytest.raises(ValueError, match="state is not normalized"):
+            tensor(a, a)
+
     def test_cap_overflow(self):
         a = haar_state(np.random.default_rng(0), 7)
         b = haar_state(np.random.default_rng(1), 8)
@@ -94,6 +101,19 @@ class TestDensity:
         rho = to_density(psi)
         assert abs(np.trace(rho.mat) - 1.0) < 1e-15
         assert mixed_product_split(rho) == ((0,), (1,), (2,))
+
+    def test_to_density_holds_the_one_outer_product(self):
+        psi, _ = ghz_product((10,), lu_seed=7, max_qubits=10)
+        tracemalloc.start()
+        try:
+            rho = to_density(psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * rho.mat.nbytes
+        v = psi.vec
+        assert rho.mat.tobytes() == np.outer(v, v.conj() / np.vdot(v, v).real).tobytes()
+        assert not rho.mat.flags.writeable
 
     def test_density_width_is_refused_with_one_message_before_allocating(self):
         message = "refusing to materialize a 13-qubit density matrix (limit 12)"
@@ -226,6 +246,14 @@ class TestLocalUnitary:
     def test_wrong_count(self):
         with pytest.raises(ValueError, match="matrices"):
             apply_local_unitary(bell(), LocalUnitary((I2,)))
+
+    def test_dressing_that_moves_the_norm_past_tol_is_refused(self):
+        # each matrix passes at DEFAULT_TOL (unitary defect 8e-10), but ten of
+        # them scale the norm by about 1 + 4e-9
+        scaled = (1.0 + 4e-10) * I2
+        u = LocalUnitary((scaled,) * 10)
+        with pytest.raises(ValueError, match="state is not normalized"):
+            apply_local_unitary(PureState(10, np.eye(1, 2**10)[0]), u)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
