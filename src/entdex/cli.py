@@ -16,6 +16,8 @@ CHUNK_PAIRS pairs at a time.  ``load_state_file`` reads a file laid out
 byte for byte that way in blocks of at most CHUNK_PAIRS pairs, into one
 buffer; any other layout, and any file that reading would refuse, takes one
 ``json.loads`` of the whole document, which decides every error message.
+The one exception is a whole such file above the qubit cap: it is refused
+with the message ``json.loads`` would lead to, once it has been streamed.
 
 ``entdex make`` also writes a ``<output>.truth.json`` sidecar recording the
 ground-truth blocks, shape, and expected index of the constructed state, so
@@ -113,8 +115,12 @@ def _parse_header(doc: Any, kind: str, max_qubits: int, where: str) -> int:
         n = integer(doc.get("n"), 1, "n must be a positive integer")
     except ValueError as exc:
         raise FileFormatError(f"{where}: {exc}") from None
-    _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")
+    _require_cap(n, max_qubits, where)
     return n
+
+
+def _require_cap(n: int, max_qubits: int, where: str) -> None:
+    _require(n <= max_qubits, f"{where}: n={n} exceeds the qubit cap of {max_qubits}")
 
 
 def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray, int]:
@@ -173,7 +179,9 @@ def _read_saved_state(path: str | Path, max_qubits: int) -> tuple[np.ndarray, in
     """The amplitudes and n of a state file laid out as ``save_state_file``
     writes it, read in blocks of at most CHUNK_PAIRS pairs into one buffer;
     None for any other file, and wherever the general reader would refuse
-    the document.
+    the document, except that a whole such document whose n is above
+    ``max_qubits`` (up to MAX_QUBITS_CEILING) is refused here, with the
+    general reader's message, without parsing it whole.
 
     The header must be the writer's for its n, and the file must end in the
     writer's tail.  Each block of text is cut at its last pair boundary and
@@ -189,7 +197,7 @@ def _read_saved_state(path: str | Path, max_qubits: int) -> tuple[np.ndarray, in
         with open(path, encoding="utf-8") as f:  # as Path.read_text opens it
             lines = [f.readline(size) for _ in range(5)]
             n = int(lines[3].removeprefix('  "n": ').removesuffix(",\n"))
-            if not 1 <= n <= max_qubits:
+            if not 1 <= n <= max(max_qubits, MAX_QUBITS_CEILING):
                 return None
             head, tail = _state_layout(n)
             if "".join(lines) != head:
@@ -218,7 +226,10 @@ def _read_saved_state(path: str | Path, max_qubits: int) -> tuple[np.ndarray, in
                 return None
     except (OverflowError, OSError, RecursionError, ValueError):  # ValueError: JSON, UTF-8, int digits
         return None
-    return (pairs.reshape(-1).view(np.complex128), n) if filled == len(pairs) else None
+    if filled != len(pairs):
+        return None
+    _require_cap(n, max_qubits, str(path))  # a FileFormatError, so outside the clause above
+    return pairs.reshape(-1).view(np.complex128), n
 
 
 def load_state_file(
@@ -227,10 +238,10 @@ def load_state_file(
     """Read a state file, applying the load-time norm policy.
 
     A file laid out as ``save_state_file`` writes it is streamed into one
-    buffer; any other file, and every error, goes through one ``json.loads``
-    of the whole document.  Returns the state and any warnings to surface;
-    raises FileFormatError for malformed documents and NormDefectError when
-    the norm is beyond repair.
+    buffer; any other file, and every error but the qubit cap of such a
+    file, goes through one ``json.loads`` of the whole document.  Returns
+    the state and any warnings to surface; raises FileFormatError for
+    malformed documents and NormDefectError when the norm is beyond repair.
     """
     raw = _read_saved_state(path, max_qubits)
     vec, n = raw if raw is not None else _parse_state_body(_load_json(path), max_qubits, str(path))

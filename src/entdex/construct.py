@@ -4,12 +4,20 @@ The canonical representative of a width-n fully entangled block is the GHZ
 state (|0...0> + |1...1>)/sqrt(2); width 1 is the unentangled |0>.  Dressing
 with per-qubit Haar unitaries and qubit permutations produces other members
 of the same class without changing the block structure.
+
+``ghz_product`` writes a block product straight into one zeroed vector: a
+product of GHZ blocks is nonzero only where each wide block reads all zeros
+or all ones, so it writes those 2**k amplitudes, k the number of blocks
+wider than one qubit, at the positions the layout and permutation give.
+Each equals 1.0 multiplied by 1/sqrt(2) k times, as every nonzero entry of
+the Kronecker product of the blocks does (a width-1 block contributes an
+exact 1.0), and every imaginary part and every other entry is +0.0 in both,
+so the amplitudes keep the bits of the product built block by block.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from functools import partial, reduce
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,10 +28,10 @@ from .states import (
     DEFAULT_MAX_QUBITS,
     LocalUnitary,
     PureState,
+    _fresh_state,
     apply_local_unitary,
     integer,
-    permute_qubits,
-    tensor,
+    qubit_permutation,
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -47,7 +55,7 @@ def ghz(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> PureState:
     else:
         vec[0] = _INV_SQRT2
         vec[-1] = _INV_SQRT2
-    return PureState(n, vec)
+    return _fresh_state(n, vec)
 
 
 def basis_state(bits: Sequence[int]) -> PureState:
@@ -62,10 +70,10 @@ def basis_state(bits: Sequence[int]) -> PureState:
         index = (index << 1) | bit
     vec = np.zeros(2 ** len(bits), dtype=np.complex128)
     vec[index] = 1.0
-    return PureState(len(bits), vec)
+    return _fresh_state(len(bits), vec)
 
 
-def _one_qubit_unitary(u: float, phi_frac: float, lam_frac: float) -> np.ndarray:
+def _one_qubit_entries(u: float, phi_frac: float, lam_frac: float) -> list[list[complex]]:
     # theta = 2*arccos(sqrt(u)) gives Haar-distributed rotation angles;
     # u = 0 lands on theta = pi with no singularity.
     theta = 2.0 * math.acos(math.sqrt(u))
@@ -73,13 +81,14 @@ def _one_qubit_unitary(u: float, phi_frac: float, lam_frac: float) -> np.ndarray
     lam = 2.0 * math.pi * lam_frac
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=np.complex128,
-    )
+    return [
+        [c, -cmath.exp(1j * lam) * s],
+        [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+    ]
+
+
+def _one_qubit_unitary(u: float, phi_frac: float, lam_frac: float) -> np.ndarray:
+    return np.array(_one_qubit_entries(u, phi_frac, lam_frac), dtype=np.complex128)
 
 
 def random_local_unitary(n: int, seed: int | np.random.Generator) -> LocalUnitary:
@@ -98,7 +107,8 @@ def random_local_unitary(n: int, seed: int | np.random.Generator) -> LocalUnitar
         rng = seed
     else:
         rng = np.random.default_rng(integer(seed, 0, "seed must be a non-negative integer, got {!r}"))
-    return LocalUnitary(tuple(_one_qubit_unitary(*row) for row in rng.random((n, 3)).tolist()))
+    entries = [_one_qubit_entries(*row) for row in rng.random((n, 3)).tolist()]
+    return LocalUnitary(tuple(np.array(entries, dtype=np.complex128)))
 
 
 def ghz_product(
@@ -127,6 +137,11 @@ def ghz_product(
 
     Returns the state together with the ground-truth blocks, canonically
     ordered, so classifiers can be checked against the construction.
+
+    The undressed state is one ``np.zeros(2**N)`` with its 2**k nonzero
+    amplitudes written in place (see the module docstring), so no
+    intermediate product is ever built, and pages of it that are never
+    written are never resident.
     """
     parts = as_partition(shape)
     n = sum(parts)
@@ -140,19 +155,22 @@ def ghz_product(
         if shape_of(blocks) != parts:
             raise ValueError(f"assignment blocks have shape {shape_of(blocks)}, expected {parts}")
 
-    pieces = [ghz(len(block), max_qubits=max_qubits) for block in blocks]
-    psi = reduce(partial(tensor, max_qubits=max_qubits), pieces)
-
-    # move the contiguously laid-out qubits onto their assigned positions
-    positions = [q for block in blocks for q in block]
-    if positions != list(range(n)):
-        psi = permute_qubits(psi, positions)
-
     if perm is not None:
-        psi = permute_qubits(psi, perm)
-        blocks = [tuple(perm[q] for q in block) for block in blocks]
+        p = qubit_permutation(perm, n)
+        blocks = [tuple(p[q] for q in block) for block in blocks]
 
     blocks_canon = canonical_set_partition(blocks, n_qubits=n)
+
+    # each wide block doubles the nonzero entries: all its qubits 0, or all 1
+    vec = np.zeros(2**n, dtype=np.complex128)
+    value, nonzero = 1.0, [0]
+    for block in blocks:
+        if len(block) > 1:
+            value *= _INV_SQRT2
+            ones = sum(1 << (n - 1 - q) for q in block)
+            nonzero += [i | ones for i in nonzero]
+    vec[nonzero] = value
+    psi = _fresh_state(n, vec)
 
     if lu_seed is not None:
         psi = apply_local_unitary(psi, random_local_unitary(n, lu_seed))

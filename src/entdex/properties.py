@@ -23,6 +23,7 @@ from .states import (
     DEFAULT_TOL,
     MAX_QUBITS_CEILING,
     PureState,
+    _fresh_state,
     apply_local_unitary,
     integer,
     qubit_subset,
@@ -96,7 +97,7 @@ def measure_qubit(psi: PureState, q: int, basis: str) -> list[MeasurementOutcome
             continue
         # a K=1 gemm like tensordot(axes=0); np.multiply.outer rounds differently
         post = np.dot(v.reshape(2, 1), w).reshape(2, 2**q, -1).transpose(1, 0, 2)
-        outcomes.append(MeasurementOutcome(prob, PureState(n, post.reshape(-1) / math.sqrt(prob))))
+        outcomes.append(MeasurementOutcome(prob, _fresh_state(n, post.reshape(-1) / math.sqrt(prob))))
     return outcomes
 
 

@@ -310,12 +310,18 @@ def apply_local_unitary(psi: PureState, u: LocalUnitary) -> PureState:
     return _fresh_state(n, t.T.reshape(-1))
 
 
+def qubit_permutation(perm: Sequence[int], n_qubits: int) -> list[int]:
+    """``perm`` as a list of ints, checked to be a bijection on [0, n_qubits)."""
+    p = [qubit_index(x) for x in perm]
+    if sorted(p) != list(range(n_qubits)):
+        raise ValueError(f"perm {perm!r} is not a bijection on [0, {n_qubits})")
+    return p
+
+
 def permute_qubits(psi: PureState, perm: Sequence[int]) -> PureState:
     """Relocate qubit ``i`` to position ``perm[i]`` for every i."""
     n = psi.n_qubits
-    p = [qubit_index(x) for x in perm]
-    if sorted(p) != list(range(n)):
-        raise ValueError(f"perm {perm!r} is not a bijection on [0, {n})")
+    p = qubit_permutation(perm, n)
     # output axis perm[i] must be fed by input axis i; moving amplitudes
     # keeps them finite and keeps the norm, so the result needs no checks
     return _adopt(psi.vec.reshape([2] * n).transpose(np.argsort(p)).reshape(-1))

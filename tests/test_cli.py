@@ -782,7 +782,8 @@ _VALUES = {
 
 class TestStreamedReader:
     """load_state_file streams the files save_state_file writes; any other
-    file, and every error, reads as one json.loads of the whole document."""
+    file, and every error but such a file's qubit cap, reads as one
+    json.loads of the whole document."""
 
     @pytest.fixture
     def general_reads(self, monkeypatch):
@@ -854,6 +855,28 @@ class TestStreamedReader:
         assert cli._read_saved_state(path, 14) is None
         psi, _ = cli.load_state_file(path)
         assert general_reads == [path] and psi.vec.tobytes() == _general_load(path)[0].vec.tobytes()
+
+    def test_over_the_cap_is_refused_as_the_general_reader_refuses_it(self, tmp_path, general_reads):
+        state, _ = ghz_product((2,) * 7 + (1,), perm=list(range(14, -1, -1)), lu_seed=3, max_qubits=15)
+        path = tmp_path / "s.json"
+        cli.save_state_file(path, state)
+        expected = _outcome(_general_load, path)
+        assert expected == (cli.FileFormatError, f"{path}: n=15 exceeds the qubit cap of 14")
+        general_reads.clear()
+        tracemalloc.start()
+        try:
+            got = _outcome(cli.load_state_file, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected and general_reads == []
+        assert peak <= 2.5 * state.vec.nbytes
+        # a truncated copy is not the writer's document: the general reader decides
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        truncated = _outcome(_general_load, path)
+        assert truncated[0] is cli.FileFormatError and "is not valid JSON" in truncated[1]
+        assert _outcome(cli.load_state_file, path) == truncated
 
     def test_a_pipe_is_read_once(self, tmp_path):
         state, _ = ghz_product((2, 1), lu_seed=5)

@@ -1,6 +1,7 @@
 """Tests for representative-state construction and dressing."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from entdex.construct import (
 )
 from entdex.partitions import enumerate_partitions
 from entdex.states import marginal_purity
+
+from chain_oracle import chain_ghz_product
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -124,6 +127,84 @@ class TestGhzProduct:
             state, blocks = ghz_product(shape)
             assert state.n_qubits == n
             assert tuple(sorted((len(b) for b in blocks), reverse=True)) == shape
+
+
+def _outcome(build, **kwargs):
+    """The state's bytes and blocks, or the type and text of the error."""
+    try:
+        state, blocks = build(**kwargs)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return state.n_qubits, state.vec.tobytes(), blocks
+
+
+class TestMatchesTheBlockChain:
+    """ghz_product writes the bits the block-by-block chain computes."""
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_bits_blocks_and_draws(self, n):
+        rng = np.random.default_rng(500 + n)
+        options = enumerate_partitions(n)
+        shapes = {options[0], options[-1], options[int(rng.integers(len(options)))]}
+        for shape in sorted(shapes):
+            order = [int(q) for q in rng.permutation(n)]
+            sizes = [int(w) for w in rng.permutation(shape)]
+            assignment = [order[end - w : end] for w, end in zip(sizes, itertools.accumulate(sizes))]
+            perm = [int(q) for q in rng.permutation(n)]
+            for layout in ({}, {"perm": perm}, {"assignment": assignment},
+                           {"assignment": assignment, "perm": perm}):
+                for lu in (None, 7 + n, "generator"):
+                    kwargs = dict(layout, shape=shape)
+                    if lu == "generator":
+                        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+                        got = _outcome(ghz_product, lu_seed=ours, **kwargs)
+                        assert got == _outcome(chain_ghz_product, lu_seed=theirs, **kwargs)
+                        assert ours.bit_generator.state == theirs.bit_generator.state
+                    else:
+                        got = _outcome(ghz_product, lu_seed=lu, **kwargs)
+                        assert got == _outcome(chain_ghz_product, lu_seed=lu, **kwargs)
+
+    BAD = {
+        "perm": [[0, 0, 1, 2], [0, 1.0, 2, 3], [0, 1.5, 2, 3], [True, 0, 2, 3], [0, 1, 2, 4],
+                 [-1, 1, 2, 3], [0, 1, 2], (0, 1, 2, 3, 4), "0123"],
+        "assignment": [[(0, 1), (2,), (2,)], [(0, 1), (2, 3)], [(0, 1), (2,), (5,)], [(0, 1), (2,)],
+                       [(0, 1.5), (2,), (3,)], [(0, 1), (), (2,), (3,)], [(0, True), (2,), (3,)]],
+        "shape": [(10, 5), (1, 2), (), (0,), (2.5, 1)],
+        "lu_seed": [-1, True, False, 1.5, "7"],
+        "max_qubits": [3, 0],
+    }
+
+    @pytest.mark.parametrize("keys", [(key,) for key in BAD] + list(itertools.combinations(BAD, 2)),
+                             ids=lambda keys: "+".join(keys))
+    def test_the_same_error_comes_first(self, keys):
+        base = {"shape": (2, 1, 1), "assignment": [(0, 3), (1,), (2,)], "perm": [3, 1, 0, 2], "lu_seed": 5}
+        for values in itertools.product(*(self.BAD[key] for key in keys)):
+            kwargs = dict(base, **dict(zip(keys, values)))
+            got = _outcome(ghz_product, **kwargs)
+            assert got[0] is ValueError and got == _outcome(chain_ghz_product, **kwargs)
+
+
+class TestConstructionMemory:
+    """The undressed product is the one zeroed vector; dressing adds no temporary."""
+
+    CASES = [
+        {"shape": (16,)},
+        {"shape": (1,) * 16},
+        {"shape": (2,) * 8, "perm": [(5 * q + 3) % 16 for q in range(16)]},
+        {"shape": (7, 5, 3, 1), "assignment": [range(0, 14, 2), range(1, 11, 2), (11, 13, 15), (14,)]},
+    ]
+
+    @pytest.mark.parametrize("lu_seed, limit", [(None, 1.05), (16, 3.1)], ids=["bare", "dressed"])
+    @pytest.mark.parametrize("case", CASES, ids=["ghz16", "singles16", "pairs-permuted", "assigned"])
+    def test_traced_peak(self, case, lu_seed, limit):
+        ghz_product((2,), lu_seed=lu_seed)  # first-call imports are not the construction's
+        tracemalloc.start()
+        try:
+            state, _ = ghz_product(lu_seed=lu_seed, max_qubits=16, **case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * state.vec.nbytes
 
 
 class TestRandomLocalUnitary:
