@@ -327,15 +327,13 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
     bits = 2 if mixed else 1  # of the vector per qubit
     allowance = _ROUNDING_PER_QUBIT * bits * n
     levels = _levels(state)
-    top = None if mixed else state  # level 0 as a PureState, once a cut test needs it
 
     def decide(j, blocks, spent, settles, certify=False):
         """(block, defect) of each of ``blocks`` on level j that the chain did
         not keep, or (block, None) for a last block ``settles(spent)``
         decided; every pass, the chain's 1 - F^2 too, goes into ``spent``."""
-        nonlocal top
         view, total, _, _ = levels[j]
-        width, level, left, passed = n - j, (None if j else top), blocks, True
+        width, level, left, passed = n - j, (None if j or mixed else state), blocks, True
         if len(blocks) > 1:
             groups = [[q - j + w for w in (0, width)[:bits] for q in sorted(block)] for block in blocks]
             steps = _product_overlap(view, groups, _covectors(levels, j, blocks, bits), total, tol - allowance)
@@ -370,7 +368,6 @@ def _factorize(state: Union[PureState, DensityMatrix], tol: float) -> tuple[Bloc
             if d is None:
                 if level is None:
                     level = _normalized(view, total)
-                    top = top if j else level  # for certification
                 d = 1.0 - marginal_purity(level, keep)
             if d > tol:
                 passed = False

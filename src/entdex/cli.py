@@ -14,10 +14,12 @@ An ensemble file is::
 ``save_state_file`` writes the document as ``json.dumps(indent=2)`` would,
 CHUNK_PAIRS pairs at a time.  ``load_state_file`` reads a file laid out
 byte for byte that way in blocks of at most CHUNK_PAIRS pairs, into one
-buffer; any other layout, and any file that reading would refuse, takes one
-``json.loads`` of the whole document, which decides every error message.
-The one exception is a whole such file above the qubit cap: it is refused
-with the message ``json.loads`` would lead to, once it has been streamed.
+buffer.  Both readers check the amplitude pairs with one routine, and any
+check that raises inside the streamed read hands the file to the general
+reader: one ``json.loads`` of the whole document, which decides every error
+message, as it does for any other layout.  The one exception is a whole
+such file above the qubit cap: it is refused with the message
+``json.loads`` would lead to, once it has been streamed.
 
 ``entdex make`` also writes a ``<output>.truth.json`` sidecar recording the
 ground-truth blocks, shape, and expected index of the constructed state, so
@@ -129,15 +131,21 @@ def _parse_state_body(doc: Any, max_qubits: int, where: str) -> tuple[np.ndarray
         _require(doc["bit_order"] == BIT_ORDER, f"{where}: bit_order must be {BIT_ORDER!r}")
     amps = doc.get("amplitudes")
     _require(isinstance(amps, list) and len(amps) == 2**n, f"{where}: amplitudes must be a list of exactly 2**n pairs")
+    return _pair_rows(amps, where).view(np.complex128).reshape(-1), n
+
+
+def _pair_rows(amps: list, where: str) -> np.ndarray:
+    """``amps`` as float64 rows [re, im], or FileFormatError naming the
+    first entry that is not a numeric pair, or a value that is not finite."""
     if not _numeric_pairs(amps):
-        k = next(k for k, pair in enumerate(amps) if not _is_numeric_pair(pair))
+        k = next(k for k, pair in enumerate(amps) if not _numeric_pairs([pair]))
         raise FileFormatError(f"{where}: amplitude {k} must be a [re, im] numeric pair")
     try:
-        vec = np.array(amps, dtype=np.float64).view(np.complex128).reshape(-1)
+        rows = np.array(amps, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond the float range
         raise FileFormatError(f"{where}: amplitudes must be finite") from exc
-    _require(bool(np.all(np.isfinite(vec))), f"{where}: amplitudes must be finite")
-    return vec, n
+    _require(bool(np.isfinite(rows).all()), f"{where}: amplitudes must be finite")
+    return rows
 
 
 def _numeric_pairs(amps: list) -> bool:
@@ -145,10 +153,6 @@ def _numeric_pairs(amps: list) -> bool:
     if not all(type(pair) is list and len(pair) == 2 for pair in amps):
         return False
     return set(map(type, chain.from_iterable(amps))) <= {int, float}
-
-
-def _is_numeric_pair(pair: Any) -> bool:
-    return type(pair) is list and len(pair) == 2 and all(type(x) in (int, float) for x in pair)
 
 
 def _state_from_raw(vec: np.ndarray, n: int, where: str) -> tuple[PureState, list[str]]:
@@ -179,9 +183,11 @@ def _read_saved_state(path: str | Path, max_qubits: int) -> tuple[np.ndarray, in
     """The amplitudes and n of a state file laid out as ``save_state_file``
     writes it, read in blocks of at most CHUNK_PAIRS pairs into one buffer;
     None for any other file, and wherever the general reader would refuse
-    the document, except that a whole such document whose n is above
-    ``max_qubits`` (up to MAX_QUBITS_CEILING) is refused here, with the
-    general reader's message, without parsing it whole.
+    the document: any check that raises inside the read, ``_pair_rows``'
+    too, hands the file to that reader, which words the error.  The one
+    exception is a whole such document whose n is above ``max_qubits`` (up
+    to MAX_QUBITS_CEILING): it is refused here, with the general reader's
+    message, without parsing it whole.
 
     The header must be the writer's for its n, and the file must end in the
     writer's tail.  Each block of text is cut at its last pair boundary and
@@ -205,26 +211,23 @@ def _read_saved_state(path: str | Path, max_qubits: int) -> tuple[np.ndarray, in
             block = text = f.read(size)
             pairs, filled = np.empty((2**n, 2)), 0
 
-            def put(piece: str) -> bool:  # the pairs of one piece, checked as the general reader checks them
+            def put(piece: str) -> None:  # the pairs of one piece, checked as the general reader checks them
                 nonlocal filled
                 amps = json.loads("[" + piece + "]")
                 end = filled + len(amps)
-                if not (amps and end <= len(pairs) and _numeric_pairs(amps)):
-                    return False
-                rows = np.array(amps, dtype=np.float64)
-                pairs[filled:end], filled = rows, end
-                return bool(np.isfinite(rows).all())
+                _require(bool(amps) and end <= len(pairs), f"{path}: amplitudes must be a list of exactly 2**n pairs")
+                pairs[filled:end], filled = _pair_rows(amps, str(path)), end
 
             # a full block may have more text after it, and must hold a pair boundary;
             # the piece keeps the closing bracket of its last pair, not the comma
             while len(block) == size and (cut := text.rfind(sep)) >= 0:
-                if not put(text[: cut + len(sep) - 2]):
-                    return None
+                put(text[: cut + len(sep) - 2])
                 block = f.read(size)
                 text = text[cut + len(sep) :] + block
-            if f.read(1) or not text.endswith(tail) or not put(text.removesuffix(tail)):
+            if f.read(1) or not text.endswith(tail):
                 return None
-    except (OverflowError, OSError, RecursionError, ValueError):  # ValueError: JSON, UTF-8, int digits
+            put(text.removesuffix(tail))
+    except (OverflowError, OSError, RecursionError, ValueError):  # ValueError: JSON, UTF-8, int digits, FileFormatError
         return None
     if filled != len(pairs):
         return None
@@ -462,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entdex", description="N-qubit entanglement class toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_part = sub.add_parser("partitions", parents=[], help="list partitions of n with p and E")
+    p_part = sub.add_parser("partitions", help="list partitions of n with p and E")
     p_part.add_argument("n", type=int)
     p_part.add_argument("--counts", action="store_true", help="print only the partition count")
     p_part.add_argument("--json", action="store_true")

@@ -13,6 +13,8 @@ Each equals 1.0 multiplied by 1/sqrt(2) k times, as every nonzero entry of
 the Kronecker product of the blocks does (a width-1 block contributes an
 exact 1.0), and every imaginary part and every other entry is +0.0 in both,
 so the amplitudes keep the bits of the product built block by block.
+``ghz`` is the one-block product, ``ghz_product((n,))``, once its width has
+passed its own checks.
 """
 from __future__ import annotations
 
@@ -49,13 +51,7 @@ def ghz(n: int, max_qubits: int = DEFAULT_MAX_QUBITS) -> PureState:
     n = integer(n, 1, "block width must be a positive integer, got {!r}")
     if n > max_qubits:
         raise ValueError(f"block width {n} exceeds the cap of {max_qubits}")
-    vec = np.zeros(2**n, dtype=np.complex128)
-    if n == 1:
-        vec[0] = 1.0
-    else:
-        vec[0] = _INV_SQRT2
-        vec[-1] = _INV_SQRT2
-    return _fresh_state(n, vec)
+    return ghz_product((n,), max_qubits=max_qubits).state
 
 
 def basis_state(bits: Sequence[int]) -> PureState:
@@ -85,10 +81,6 @@ def _one_qubit_entries(u: float, phi_frac: float, lam_frac: float) -> list[list[
         [c, -cmath.exp(1j * lam) * s],
         [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
     ]
-
-
-def _one_qubit_unitary(u: float, phi_frac: float, lam_frac: float) -> np.ndarray:
-    return np.array(_one_qubit_entries(u, phi_frac, lam_frac), dtype=np.complex128)
 
 
 def random_local_unitary(n: int, seed: int | np.random.Generator) -> LocalUnitary:

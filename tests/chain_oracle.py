@@ -4,14 +4,29 @@ The library writes the nonzero amplitudes of the undressed product into one
 zeroed vector; this body builds one GHZ state per block, folds them with
 ``tensor``, moves the qubits with ``permute_qubits`` and only then dresses
 the result.  Both must give the same bits, the same blocks, the same draws
-from a Generator and the same error for every bad input.
+from a Generator and the same error for every bad input.  Its per-block GHZ
+pieces are written here, not by ``entdex.construct.ghz``, which is itself a
+one-block ``ghz_product``.
 """
+import math
 from functools import partial, reduce
 from itertools import accumulate
 
-from entdex.construct import GhzProduct, ghz, random_local_unitary
+import numpy as np
+
+from entdex.construct import GhzProduct, random_local_unitary
 from entdex.partitions import as_partition, canonical_set_partition, shape_of
-from entdex.states import DEFAULT_MAX_QUBITS, apply_local_unitary, permute_qubits, tensor
+from entdex.states import DEFAULT_MAX_QUBITS, PureState, apply_local_unitary, permute_qubits, tensor
+
+
+def ghz_piece(k):
+    """The GHZ state on k qubits, written directly; k = 1 is |0>."""
+    vec = np.zeros(2**k, dtype=np.complex128)
+    if k == 1:
+        vec[0] = 1.0
+    else:
+        vec[0] = vec[-1] = 1.0 / math.sqrt(2.0)
+    return PureState(k, vec)
 
 
 def chain_ghz_product(shape, assignment=None, perm=None, lu_seed=None, max_qubits=DEFAULT_MAX_QUBITS):
@@ -28,7 +43,7 @@ def chain_ghz_product(shape, assignment=None, perm=None, lu_seed=None, max_qubit
         if shape_of(blocks) != parts:
             raise ValueError(f"assignment blocks have shape {shape_of(blocks)}, expected {parts}")
 
-    pieces = [ghz(len(block), max_qubits=max_qubits) for block in blocks]
+    pieces = [ghz_piece(len(block)) for block in blocks]
     psi = reduce(partial(tensor, max_qubits=max_qubits), pieces)
 
     # move the contiguously laid-out qubits onto their assigned positions

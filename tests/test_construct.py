@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from entdex.construct import (
-    _one_qubit_unitary,
+    _one_qubit_entries,
     basis_state,
     ghz,
     ghz_product,
@@ -16,7 +16,7 @@ from entdex.construct import (
 from entdex.partitions import enumerate_partitions
 from entdex.states import marginal_purity
 
-from chain_oracle import chain_ghz_product
+from chain_oracle import chain_ghz_product, ghz_piece
 
 S2 = 1.0 / math.sqrt(2.0)
 
@@ -40,11 +40,20 @@ class TestGhz:
             for subset in itertools.combinations(range(n), size):
                 assert abs(marginal_purity(psi, subset) - 0.5) < 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_bytes_match_the_written_piece(self, n):
+        assert ghz(n, max_qubits=20).vec.tobytes() == ghz_piece(n).vec.tobytes()
+
     def test_errors(self):
-        with pytest.raises(ValueError):
-            ghz(0)
-        with pytest.raises(ValueError):
-            ghz(15)
+        for n, message in [
+            (0, "block width must be a positive integer, got 0"),
+            (True, "block width must be a positive integer, got True"),
+            (2.5, "block width must be a positive integer, got 2.5"),
+            (15, "block width 15 exceeds the cap of 14"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                ghz(n)
+            assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestBasisState:
@@ -227,10 +236,10 @@ class TestRandomLocalUnitary:
 
     def test_rotation_boundary(self):
         # u = 0 means a full theta = pi rotation; must stay unitary and finite
-        m = _one_qubit_unitary(0.0, 0.3, 0.7)
+        m = np.array(_one_qubit_entries(0.0, 0.3, 0.7), dtype=np.complex128)
         assert np.all(np.isfinite(m))
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-        m = _one_qubit_unitary(1.0, 0.0, 0.0)
+        m = np.array(_one_qubit_entries(1.0, 0.0, 0.0), dtype=np.complex128)
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
     def test_invalid_count(self):
